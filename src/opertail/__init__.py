@@ -6,7 +6,6 @@ from .copulatail import (CompatibilityResult, EmpiricalTailEstimate,
                          compatibility_defect, copula_density,
                          copula_tail_to_density, density_to_copula_tail,
                          empirical_tail_density, group_invariance_defect,
-                         liouville_copula_density,
                          liouville_copula_tail_density,
                          liouville_copula_tail_form, liouville_limit_form,
                          liouville_marginal_frame, quasihomogeneity_defect)

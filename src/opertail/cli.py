@@ -1,7 +1,7 @@
 """Command-line front end: `opertail eval|sample|verify --config FILE --out DIR`.
 
 A run is described by a single JSON config (archivable experiment record);
-flags are limited to --config, --out, --seed, --jobs. Outputs are CSV with
+flags are limited to --config, --out, --seed. Outputs are CSV with
 17 significant digits (deterministic runs diff cleanly) or a JSON report.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 numerical
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -113,7 +112,7 @@ def _make_evaluator(name: str, task: dict, p: LiouvilleParams, E: DiagExponent):
     raise ConfigError(f"unknown evaluator {name!r}")
 
 
-def cmd_eval(cfg: dict, out_dir: Path, jobs: int) -> int:
+def cmd_eval(cfg: dict, out_dir: Path) -> int:
     p = _build_params(cfg)
     E = _build_exponent(cfg, p)
     task = _require(cfg, "task")
@@ -121,8 +120,7 @@ def cmd_eval(cfg: dict, out_dir: Path, jobs: int) -> int:
     dim = 1 if name == "marginal_density" else p.dim
     fn, formula, note = _make_evaluator(name, task, p, E)
     points = _grid_points(task, dim)
-    with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
-        values = list(pool.map(lambda pt: float(fn(pt)), points))
+    values = [float(fn(pt)) for pt in points]
     out_path = out_dir / "eval.csv"
     with open(out_path, "w") as fh:
         cols = [f"w{i + 1}" for i in range(dim)]
@@ -137,7 +135,11 @@ def cmd_eval(cfg: dict, out_dir: Path, jobs: int) -> int:
 def cmd_sample(cfg: dict, out_dir: Path, seed_override) -> int:
     p = _build_params(cfg)
     task = _require(cfg, "task")
-    n = int(_require(task, "n"))
+    n = _require(task, "n")
+    if (isinstance(n, bool) or not isinstance(n, (int, float))
+            or (isinstance(n, float) and not n.is_integer()) or n < 1):
+        raise ConfigError(f"invalid field 'n': need an integer >= 1, got {n!r}")
+    n = int(n)
     seed = seed_override if seed_override is not None else cfg.get("seed")
     if seed is None:
         raise ConfigError("config is missing required field 'seed' "
@@ -189,14 +191,13 @@ def main(argv=None) -> int:
         sp.add_argument("--config", required=True, help="JSON run config")
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "eval":
-            return cmd_eval(cfg, out_dir, args.jobs)
+            return cmd_eval(cfg, out_dir)
         if args.command == "sample":
             return cmd_sample(cfg, out_dir, args.seed)
         return cmd_verify(cfg, out_dir, args.seed)

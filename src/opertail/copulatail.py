@@ -21,7 +21,7 @@ limits confirm, and both readings are noted here deliberately.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -126,21 +126,15 @@ class TailDensityForm:
 
 @dataclass(frozen=True)
 class MarginalFrame:
-    """Marginal tail indices alpha_i plus optional survival/quantile evaluators."""
+    """Marginal tail indices alpha_i of the frame transforms."""
 
     alphas: tuple
-    survivals: Optional[tuple] = None
-    quantiles: Optional[tuple] = None
 
-    def __init__(self, alphas, survivals=None, quantiles=None):
+    def __init__(self, alphas):
         al = tuple(float(v) for v in np.atleast_1d(np.asarray(alphas, dtype=float)))
         if any(v <= 0 or not math.isfinite(v) for v in al):
             raise ValueError("marginal tail indices must be positive")
         object.__setattr__(self, "alphas", al)
-        object.__setattr__(self, "survivals",
-                           tuple(survivals) if survivals is not None else None)
-        object.__setattr__(self, "quantiles",
-                           tuple(quantiles) if quantiles is not None else None)
 
 
 @dataclass(frozen=True)
@@ -180,11 +174,6 @@ def copula_density(p: LiouvilleParams, u) -> float:
     x = np.array([p.marginal_quantile(i, ui) for i, ui in enumerate(u)])
     denom = math.prod(p.marginal_density(i, xi) for i, xi in enumerate(x))
     return p.joint_density(x) / denom
-
-
-def liouville_copula_density(p: LiouvilleParams) -> Callable[[np.ndarray], float]:
-    """Copula density evaluator bound to p (quantiles memoized on p)."""
-    return lambda u: copula_density(p, u)
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +221,7 @@ def liouville_copula_tail_density(p: LiouvilleParams, E: DiagExponent, w) -> flo
 
 
 def liouville_marginal_frame(p: LiouvilleParams, E: DiagExponent) -> MarginalFrame:
-    alphas = _liouville_alphas(p, E)
-    survivals = tuple((lambda i: (lambda x: 1.0 - p.marginal_cdf(i, x)))(i)
-                      for i in range(p.dim))
-    quantiles = tuple((lambda i: (lambda q: p.marginal_quantile(i, q)))(i)
-                      for i in range(p.dim))
-    return MarginalFrame(alphas, survivals, quantiles)
+    return MarginalFrame(_liouville_alphas(p, E))
 
 
 # ---------------------------------------------------------------------------

@@ -38,12 +38,6 @@ class DivergentIntegralError(ArithmeticError):
     """The requested intensity integral is divergent."""
 
 
-_KIND_CODES = {"box": kernels.REGION_BOX,
-               "upper_orthant": kernels.REGION_UPPER_ORTHANT,
-               "lower_union": kernels.REGION_LOWER_UNION,
-               "box_complement": kernels.REGION_BOX_COMPLEMENT}
-
-
 @dataclass(frozen=True)
 class Region:
     """Axis-aligned region: box [0,w], upper orthant (w,inf)^d, union of
@@ -53,7 +47,7 @@ class Region:
     w: tuple
 
     def __init__(self, kind: str, w: Sequence[float]):
-        if kind not in _KIND_CODES:
+        if kind not in kernels.KINDS:
             raise ValueError(f"unknown region kind {kind!r}")
         wt = tuple(float(v) for v in np.atleast_1d(np.asarray(w, dtype=float)))
         if any(v < 0 or not math.isfinite(v) for v in wt):
@@ -80,10 +74,6 @@ class Region:
     @property
     def dim(self):
         return len(self.w)
-
-    @property
-    def kind_code(self):
-        return _KIND_CODES[self.kind]
 
 
 @dataclass(frozen=True)
@@ -277,7 +267,7 @@ def orthant_convergence(p: LiouvilleParams, E: DiagExponent, B: Region,
     rows = []
     for t in np.asarray(t_grid, dtype=float):
         y = x / t ** lam  # t^{-E} X
-        hits = kernels.count_in_region(y, w, B.kind_code)
+        hits = kernels.count_in_region(y, w, B.kind)
         phat = hits / n
         u_t = p.tail_normalizer(E, t)
         est = phat / u_t

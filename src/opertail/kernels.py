@@ -1,117 +1,35 @@
-"""Hot numeric kernels: numba fast path with a pure-numpy fallback.
-
-Only genuinely loop-bound work lives here (Monte Carlo region-hit counting
-over million-row sample matrices, Hill log-excess sums). Everything
-quadrature- or special-function-bound stays in the scipy-backed modules.
-
-Backend selection happens once at import time:
-
-* default: compile with numba if it is importable,
-* ``OPERTAIL_NUMBA=0`` in the environment forces the numpy fallback.
-
-``benchmarks/bench_kernels.py`` compares the two paths.
-"""
+"""Vectorised numpy kernels for the two loop-bound counts: Monte Carlo
+region-hit counting over large sample matrices and Hill log-excess sums.
+Everything quadrature- or special-function-bound stays in the scipy-backed
+modules."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-REGION_BOX = 0
-REGION_UPPER_ORTHANT = 1
-REGION_LOWER_UNION = 2
-REGION_BOX_COMPLEMENT = 3
+BACKEND = "numpy"
 
-_want_numba = os.environ.get("OPERTAIL_NUMBA", "1") != "0"
-
-if _want_numba:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _want_numba = False
+# rows of x in each axis-aligned region at thresholds w
+_INSIDE = {
+    "box": lambda x, w: np.all(x <= w, axis=1),
+    "upper_orthant": lambda x, w: np.all(x > w, axis=1),
+    "lower_union": lambda x, w: np.any(x < w, axis=1),
+    "box_complement": lambda x, w: ~np.all(x <= w, axis=1),
+}
+KINDS = tuple(_INSIDE)
 
 
-def _count_in_region_np(x: np.ndarray, w: np.ndarray, kind: int) -> int:
-    if kind == REGION_BOX:
-        return int(np.count_nonzero(np.all(x <= w, axis=1)))
-    if kind == REGION_UPPER_ORTHANT:
-        return int(np.count_nonzero(np.all(x > w, axis=1)))
-    if kind == REGION_LOWER_UNION:
-        return int(np.count_nonzero(np.any(x < w, axis=1)))
-    if kind == REGION_BOX_COMPLEMENT:
-        return int(np.count_nonzero(~np.all(x <= w, axis=1)))
-    raise ValueError(f"unknown region kind code {kind}")
-
-
-def _hill_log_sum_np(tail: np.ndarray, pivot: float) -> float:
-    return float(np.sum(np.log(tail / pivot)))
-
-
-if _want_numba:
-
-    @njit(cache=True)
-    def _count_in_region_nb(x, w, kind):  # pragma: no cover - compiled
-        n, d = x.shape
-        count = 0
-        for i in range(n):
-            if kind == 0:  # box [0, w]
-                inside = True
-                for j in range(d):
-                    if x[i, j] > w[j]:
-                        inside = False
-                        break
-            elif kind == 1:  # upper orthant (w, inf)^d
-                inside = True
-                for j in range(d):
-                    if x[i, j] <= w[j]:
-                        inside = False
-                        break
-            elif kind == 2:  # union of lower strips
-                inside = False
-                for j in range(d):
-                    if x[i, j] < w[j]:
-                        inside = True
-                        break
-            else:  # complement of the box
-                inside = False
-                for j in range(d):
-                    if x[i, j] > w[j]:
-                        inside = True
-                        break
-            if inside:
-                count += 1
-        return count
-
-    @njit(cache=True)
-    def _hill_log_sum_nb(tail, pivot):  # pragma: no cover - compiled
-        total = 0.0
-        for i in range(tail.shape[0]):
-            total += np.log(tail[i] / pivot)
-        return total
-
-    BACKEND = "numba"
-else:
-    BACKEND = "numpy"
-
-
-def count_in_region(x: np.ndarray, w: np.ndarray, kind: int) -> int:
-    """Count rows of ``x`` (n, d) falling in the axis-aligned region ``kind``."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    w = np.ascontiguousarray(w, dtype=np.float64)
+def count_in_region(x: np.ndarray, w: np.ndarray, kind: str) -> int:
+    """Count rows of ``x`` (n, d) falling in the region ``kind`` at ``w`` (d,)."""
+    x = np.asarray(x, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
     if x.ndim != 2 or w.shape != (x.shape[1],):
         raise ValueError("x must be (n, d) and w must be (d,)")
-    if kind not in (REGION_BOX, REGION_UPPER_ORTHANT, REGION_LOWER_UNION,
-                    REGION_BOX_COMPLEMENT):
-        raise ValueError(f"unknown region kind code {kind}")
-    if BACKEND == "numba":
-        return int(_count_in_region_nb(x, w, kind))
-    return _count_in_region_np(x, w, kind)
+    if kind not in _INSIDE:
+        raise ValueError(f"unknown region kind {kind!r}")
+    return int(np.count_nonzero(_INSIDE[kind](x, w)))
 
 
 def hill_log_sum(tail: np.ndarray, pivot: float) -> float:
     """Sum of log(tail_j / pivot) over the upper order statistics."""
-    tail = np.ascontiguousarray(tail, dtype=np.float64)
-    if BACKEND == "numba":
-        return float(_hill_log_sum_nb(tail, float(pivot)))
-    return _hill_log_sum_np(tail, float(pivot))
+    return float(np.sum(np.log(np.asarray(tail, dtype=np.float64) / float(pivot))))

@@ -48,12 +48,12 @@ class TestEval:
         rows = read_rows(tmp_path / "eval.csv")
         assert float(rows[0]["value"]) == pytest.approx(1.5, abs=1e-6)
 
-    def test_grid_expansion_with_jobs(self, tmp_path):
+    def test_grid_expansion(self, tmp_path):
         cfg = {"distribution": TESTBED,
                "task": {"evaluator": "joint_density",
                         "grid": {"start": 0.5, "stop": 2.0, "num": 3}}}
         rc = main(["eval", "--config", write_config(tmp_path, cfg),
-                   "--out", str(tmp_path), "--jobs", "4"])
+                   "--out", str(tmp_path)])
         assert rc == 0
         rows = read_rows(tmp_path / "eval.csv")
         assert len(rows) == 9
@@ -134,6 +134,15 @@ class TestSample:
         assert (tmp_path / "a" / "samples.csv").read_bytes() != \
             (tmp_path / "b" / "samples.csv").read_bytes()
 
+    @pytest.mark.parametrize("n", ["abc", 0, 2.5])
+    def test_bad_n_exit_2(self, tmp_path, capsys, n):
+        cfg = {"distribution": TESTBED, "seed": 1, "task": {"n": n}}
+        rc = main(["sample", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "'n'" in capsys.readouterr().err
+        assert not (tmp_path / "samples.csv").exists()
+
     def test_missing_seed_exit_2(self, tmp_path, capsys):
         cfg = {"distribution": TESTBED, "task": {"n": 10}}
         rc = main(["sample", "--config", write_config(tmp_path, cfg),
@@ -167,6 +176,22 @@ class TestVerify:
         rc = main(["verify", "--config", write_config(tmp_path, cfg),
                    "--out", str(tmp_path), "--seed", "19"])
         assert rc == 0
+
+    def test_karamata_suite_passes(self, tmp_path):
+        cfg = {"task": {"suite": "karamata"}}
+        rc = main(["verify", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["passed"] is True
+
+    def test_unknown_suite_param_exit_2(self, tmp_path, capsys):
+        cfg = {"task": {"suite": "quasihom", "params": {"foo": 1}}}
+        rc = main(["verify", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "foo" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_unknown_suite_exit_2(self, tmp_path, capsys):
         cfg = {"task": {"suite": "nonexistent"}}

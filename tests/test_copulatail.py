@@ -8,9 +8,10 @@ from opertail import (DiagExponent, InvertedDirichlet, LiouvilleParams,
                       at_zero, compatibility_defect, copula_density,
                       copula_tail_to_density, density_to_copula_tail,
                       empirical_tail_density, group_invariance_defect,
-                      liouville_copula_density, liouville_copula_tail_density,
+                      liouville_copula_tail_density,
                       liouville_copula_tail_form, liouville_limit_form,
                       liouville_marginal_frame, quasihomogeneity_defect)
+from opertail.cli import _make_evaluator
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +56,9 @@ class TestCopulaDensity:
         with pytest.raises(ValueError):
             copula_density(p2, [0.5, 1.0])
 
-    def test_factory_binds_params(self, p2):
-        c = liouville_copula_density(p2)
+    def test_factory_binds_params(self, p2, E2):
+        # the CLI's evaluator factory binds p to copula_density
+        c, _, _ = _make_evaluator("copula_density", {}, p2, E2)
         assert c(np.array([0.5, 0.5])) == pytest.approx(32.0 / 27.0, rel=1e-8)
 
 
@@ -168,7 +170,7 @@ class TestTransforms:
 
 class TestEmpiricalTailDensity:
     def test_single_step_value(self, p2):
-        c = liouville_copula_density(p2)
+        c = lambda u: copula_density(p2, u)
         r = [at_zero(RVSpec(1.0, -1.0, 0.0))] * 2
         est = empirical_tail_density(c, r, lambda u: 1.0, TailOrder([1.0, 1.0]),
                                      [1.0, 1.0], [1e-2, 1e-3])
@@ -178,7 +180,7 @@ class TestEmpiricalTailDensity:
         assert est.estimates[-1] == pytest.approx(0.250375, abs=1e-5)
 
     def test_limit_w11(self, p2):
-        c = liouville_copula_density(p2)
+        c = lambda u: copula_density(p2, u)
         r = [at_zero(RVSpec(1.0, -1.0, 0.0))] * 2
         est = empirical_tail_density(c, r, lambda u: 1.0, TailOrder([1.0, 1.0]),
                                      [1.0, 1.0], np.logspace(-2, -6, 5))
@@ -186,7 +188,7 @@ class TestEmpiricalTailDensity:
         assert est.limit == pytest.approx(0.25, rel=1e-3)
 
     def test_limit_w12(self, p2):
-        c = liouville_copula_density(p2)
+        c = lambda u: copula_density(p2, u)
         r = [at_zero(RVSpec(1.0, -1.0, 0.0))] * 2
         est = empirical_tail_density(c, r, lambda u: 1.0, TailOrder([1.0, 1.0]),
                                      [1.0, 2.0], np.logspace(-2, -6, 5))
@@ -202,7 +204,7 @@ class TestEmpiricalTailDensity:
         assert est.verdict == "tail order mismatch"
 
     def test_grid_validation(self, p2):
-        c = liouville_copula_density(p2)
+        c = lambda u: copula_density(p2, u)
         r = [at_zero(RVSpec(1.0, -1.0, 0.0))] * 2
         with pytest.raises(ValueError):
             empirical_tail_density(c, r, lambda u: 1.0, TailOrder([1.0, 1.0]),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from opertail import (RVSpec, at_zero, eval_rv, hill_estimate, karamata_defect,
-                      ratio_limit_defect)
+                      ratio_limit_defect, verify)
 
 
 class TestEvalRV:
@@ -97,6 +97,14 @@ class TestKaramataDefect:
     def test_zero_survival_flagged(self):
         with pytest.raises(ValueError, match="survival exhausted"):
             karamata_defect(lambda t: 0.0, lambda t: 0.0, 1.0, 1.0)
+
+    def test_verify_suite_passes_every_check(self):
+        checks = verify.run_suite("karamata")
+        assert [c.name for c in checks] == ["karamata-margin",
+                                            "karamata-non-rv-control"]
+        assert all(c.passed for c in checks)
+        # exponential control: t f(t) / Fbar(t) - 1 = t - 1 at t = 100
+        assert checks[1].measured == pytest.approx(99.0, rel=1e-12)
 
 
 class TestHillEstimate:
