@@ -1,8 +1,8 @@
 """Command-line front end: `opertail eval|sample|verify --config FILE --out DIR`.
 
 A run is described by a single JSON config (archivable experiment record);
-flags are limited to --config, --out, --seed. Outputs are CSV with
-17 significant digits (deterministic runs diff cleanly) or a JSON report.
+flags are limited to --config, --out, --seed. `eval` evaluates all points in one
+call. Outputs are CSV with 17 significant digits (runs diff cleanly) or JSON.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 numerical
 error.
@@ -30,10 +30,6 @@ EXIT_NUMERICAL = 3
 
 class ConfigError(ValueError):
     pass
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _load_config(path: str) -> dict:
@@ -72,44 +68,64 @@ def _build_exponent(cfg: dict, p: LiouvilleParams) -> DiagExponent:
         raise ConfigError(f"invalid field 'exponent': {e}")
 
 
-def _grid_points(task: dict, dim: int):
+def _int_field(value, field: str, lo: int, hi: float = float("inf")) -> int:
+    """``value`` as an int in [lo, hi); integral floats such as 1e5 pass."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or value % 1 or not lo <= value < hi):
+        raise ConfigError(f"invalid field {field!r}: need an integer in [{lo}, {hi}), "
+                          f"got {value!r}")
+    return int(value)
+
+
+def _grid_points(task: dict, dim: int) -> np.ndarray:
+    """The task's points, or its grid in "ij" order, as one (n, dim) array."""
     if "points" in task:
-        pts = [np.asarray(pt, dtype=float) for pt in task["points"]]
+        try:
+            pts = np.array(task["points"], dtype=float)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"invalid field 'points': {e}")
     elif "grid" in task:
         g = task["grid"]
         axis = np.linspace(float(g.get("start", 0.5)), float(g.get("stop", 2.0)),
-                           int(g.get("num", 5)))
-        mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-        pts = [np.array(pt) for pt in zip(*(m.ravel() for m in mesh))]
+                           _int_field(g.get("num", 5), "grid.num", 1))
+        pts = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), -1).reshape(-1, dim)
     else:
         raise ConfigError("task must provide either 'points' or 'grid'")
-    for pt in pts:
-        if pt.shape != (dim,):
-            raise ConfigError(f"point {pt.tolist()} has wrong dimension (need {dim})")
+    if pts.ndim != 2 or len(pts) == 0 or pts.shape[1] != dim or not np.isfinite(pts).all():
+        raise ConfigError(f"invalid field 'points': need a non-empty list of finite "
+                          f"points of dimension {dim}")
     return pts
 
 
 def _make_evaluator(name: str, task: dict, p: LiouvilleParams, E: DiagExponent):
+    """(fn, formula, normalization); ``fn`` maps an (n, d) array to n values."""
     if name == "joint_density":
         return p.joint_density, "liouville-kernel", "c_f included"
     if name == "limiting_density":
-        return (lambda x: p.limiting_density(E, x),
+        return (lambda X: p.limiting_density(E, X),
                 "operator-limit", "c_f carried in the limit form")
     if name == "liouville_copula_tail_density":
         form = copulatail.liouville_copula_tail_form(p, E)
         return form, "copula-tail-closed-form", "c_f carried in the limit form"
     if name == "copula_density":
-        return (lambda u: copulatail.copula_density(p, u),
+        return (lambda U: [copulatail.copula_density(p, u) for u in U],
                 "copula-density", "margins via Weyl quadrature")
     if name == "marginal_density":
-        i = int(task.get("margin", 0))
-        return (lambda x: p.marginal_density(i, float(x[0])),
+        i = _int_field(task.get("margin", 0), "margin", 0, p.dim)
+        return (lambda X: [p.marginal_density(i, float(x)) for x in X[:, 0]],
                 "weyl-marginal", "margin integrates to 1")
     if name == "exponent_function":
         form = copulatail.liouville_copula_tail_form(p, E)
-        return (lambda w: exponent_function(form, w),
+        # exponent_function is looked up per call, so a later wrapper on it is seen
+        return (lambda W: [exponent_function(form, w) for w in W],
                 "exponent-lower-union", "lower-strip orientation")
     raise ConfigError(f"unknown evaluator {name!r}")
+
+
+def _write_csv(path: Path, header_lines, body: np.ndarray, fmt: str = "%.17g") -> None:
+    """Header lines as given, then ``body`` row by row; "%.17g" == f"{v:.17g}"."""
+    np.savetxt(path, body, fmt=fmt, delimiter=",", header="\n".join(header_lines),
+               comments="")
 
 
 def cmd_eval(cfg: dict, out_dir: Path) -> int:
@@ -120,14 +136,11 @@ def cmd_eval(cfg: dict, out_dir: Path) -> int:
     dim = 1 if name == "marginal_density" else p.dim
     fn, formula, note = _make_evaluator(name, task, p, E)
     points = _grid_points(task, dim)
-    values = [float(fn(pt)) for pt in points]
     out_path = out_dir / "eval.csv"
-    with open(out_path, "w") as fh:
-        cols = [f"w{i + 1}" for i in range(dim)]
-        fh.write(",".join(cols + ["value", "formula", "normalization"]) + "\n")
-        for pt, val in zip(points, values):
-            fh.write(",".join([_fmt(v) for v in pt] + [_fmt(val), formula, note])
-                     + "\n")
+    cols = [f"w{i + 1}" for i in range(dim)]
+    _write_csv(out_path, [",".join(cols + ["value", "formula", "normalization"])],
+               np.column_stack([points, np.asarray(fn(points), dtype=float)]),
+               ",".join(["%.17g"] * (dim + 1) + [formula, note]))
     print(f"wrote {out_path} ({len(points)} rows)")
     return EXIT_OK
 
@@ -135,22 +148,15 @@ def cmd_eval(cfg: dict, out_dir: Path) -> int:
 def cmd_sample(cfg: dict, out_dir: Path, seed_override) -> int:
     p = _build_params(cfg)
     task = _require(cfg, "task")
-    n = _require(task, "n")
-    if (isinstance(n, bool) or not isinstance(n, (int, float))
-            or (isinstance(n, float) and not n.is_integer()) or n < 1):
-        raise ConfigError(f"invalid field 'n': need an integer >= 1, got {n!r}")
-    n = int(n)
+    n = _int_field(_require(task, "n"), "n", 1)
     seed = seed_override if seed_override is not None else cfg.get("seed")
     if seed is None:
         raise ConfigError("config is missing required field 'seed' "
                           "(or pass --seed)")
     x = p.sample(n, int(seed))
     out_path = out_dir / "samples.csv"
-    with open(out_path, "w") as fh:
-        fh.write(f"# seed={int(seed)} params={json.dumps(p.to_dict())}\n")
-        fh.write(",".join(f"x{i + 1}" for i in range(p.dim)) + "\n")
-        for row in x:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    _write_csv(out_path, [f"# seed={int(seed)} params={json.dumps(p.to_dict())}",
+                          ",".join(f"x{i + 1}" for i in range(p.dim))], x)
     print(f"wrote {out_path} ({n} rows)")
     return EXIT_OK
 

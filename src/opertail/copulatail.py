@@ -85,15 +85,18 @@ class TailDensityForm:
     def dim(self):
         return len(self.coord_powers)
 
-    def __call__(self, w) -> float:
+    def __call__(self, w):
+        """The density at one point ``(dim,)``, a float, or at a batch ``(..., dim)``."""
         w = np.asarray(w, dtype=float)
-        if w.shape != (self.dim,):
+        if w.shape[-1:] != (self.dim,):
             raise ValueError("dimension mismatch")
         if np.any(w <= 0):
             raise ValueError("evaluation requires strictly positive coordinates")
-        s = sum(w[i] ** p for i, p in zip(self.sum_indices, self.sum_powers))
-        return float(self.coef * s ** self.sum_exponent
-                     * np.prod(w ** np.asarray(self.coord_powers)))
+        cols = w.T  # cols[i] is a scalar for one point: the nquad integrand stays scalar
+        s = sum(cols[i] ** p for i, p in zip(self.sum_indices, self.sum_powers)).T
+        out = (self.coef * s ** self.sum_exponent
+               * (w ** np.asarray(self.coord_powers)).prod(axis=-1))
+        return float(out) if w.ndim == 1 else out
 
     def to_dict(self) -> dict:
         d = {"frame": self.frame, "coef": self.coef,
@@ -213,11 +216,6 @@ def liouville_copula_tail_form(p: LiouvilleParams, E: DiagExponent) -> TailDensi
         coord_powers=tuple(-(al + ai) / al for al, ai in zip(alphas, p.a)),
         kappa=(1.0,) * p.dim,
         note="explicit upper tail density of the Liouville copula")
-
-
-def liouville_copula_tail_density(p: LiouvilleParams, E: DiagExponent, w) -> float:
-    """Evaluate the explicit Liouville copula tail density at w > 0."""
-    return liouville_copula_tail_form(p, E)(w)
 
 
 def liouville_marginal_frame(p: LiouvilleParams, E: DiagExponent) -> MarginalFrame:

@@ -173,22 +173,26 @@ class LiouvilleParams:
     def normalizing_constant(self) -> float:
         return self.norm_const
 
-    def joint_density(self, x) -> float:
-        """c_f * g(sum x_i) * prod x_i^{a_i - 1}; continuous extension on the
-        boundary for a_i >= 1, +inf divergence flag when a_i < 1 there."""
+    def joint_density(self, x):
+        """c_f * g(sum x_i) * prod x_i^{a_i - 1} at one point ``(d,)``, as a float,
+        or at each point of a batch ``(..., d)``, as an array; see ``_kernel``."""
+        return self._kernel(x, slice(None), self.g)
+
+    def _kernel(self, x, idx, h):
+        """c_f * h(sum_{i in idx} x_i) * prod x_i^{a_i - 1} over the last axis of
+        x >= 0. At x_i = 0 a factor is 1 if a_i = 1 (x**0 == 1), 0 if a_i > 1
+        and +inf if a_i < 1; the value is +inf wherever a factor or h is."""
         x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim:
+        if x.shape[-1:] != (self.dim,):
             raise ValueError("dimension mismatch")
         if np.any(x < 0):
             raise ValueError("coordinates must be non-negative")
         a = np.asarray(self.a)
-        if x.ndim == 1:
-            if np.any((x == 0) & (a < 1)):
-                return math.inf
-            with np.errstate(divide="ignore"):
-                prod = np.prod(np.where((x == 0) & (a == 1), 1.0, x ** (a - 1)))
-            return float(self.norm_const * self.g(x.sum()) * prod)
-        return np.array([self.joint_density(row) for row in x])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            head = self.norm_const * h(x[..., idx].sum(axis=-1))
+            out = head * (x ** (a - 1)).prod(axis=-1)
+        out = np.where(np.isinf(head) | np.any((x == 0) & (a < 1), axis=-1), math.inf, out)
+        return float(out) if x.ndim == 1 else out
 
     # -- radial part ------------------------------------------------------
 
@@ -207,10 +211,21 @@ class LiouvilleParams:
         return float(out) if out.ndim == 0 else out
 
     def _radial_cdf_quad(self, r: float) -> float:
+        # above r = 1 the integral over (0, r) would lose the tail mass to
+        # rounding, so the CDF there is 1 - S(r) with S integrated directly
+        if r > 1.0:
+            return 1.0 - self._radial_survival_quad(r)
         A = self.total_shape
         val, _ = integrate.quad(lambda t: t ** (A - 1) * float(self.g(t)),
                                 0.0, r, epsabs=0.0, epsrel=1e-11, limit=400)
         return min(val / self.radial_norm, 1.0)
+
+    def _radial_survival_quad(self, r: float) -> float:
+        """S(r) = P(R > r) = r^A int_0^1 s^{-A-1} g(r/s) ds / N, by t = r/s."""
+        A = self.total_shape
+        val, _ = integrate.quad(lambda s: s ** (-A - 1) * float(self.g(r / s)),
+                                0.0, 1.0, epsabs=0.0, epsrel=1e-11, limit=400)
+        return r ** A * val / self.radial_norm
 
     def radial_quantile(self, q) -> float:
         """Inverse radial CDF by closed form where available, else brentq."""
@@ -228,11 +243,19 @@ class LiouvilleParams:
         return float(out) if out.ndim == 0 else out
 
     def _radial_quantile_root(self, q: float) -> float:
-        hi = 1.0
-        while self._radial_cdf_quad(hi) < q:
-            hi *= 4.0
-        return optimize.brentq(lambda r: self._radial_cdf_quad(r) - q,
-                               1e-300, hi, xtol=1e-12, rtol=1e-15)
+        """A root of the CDF in (0, 1] when q <= CDF(1); above, a root of
+        S(r) = 1 - q bracketed upward from 1, which keeps the deep tail accurate."""
+        if q <= self._radial_cdf_quad(1.0):
+            return optimize.brentq(lambda r: self._radial_cdf_quad(r) - q,
+                                   1e-300, 1.0, xtol=1e-12, rtol=1e-15)
+        tail = 1.0 - q
+        lo = hi = 1.0
+        while self._radial_survival_quad(hi) > tail:
+            lo, hi = hi, 4.0 * hi
+        if hi == 1.0:  # q is within rounding of CDF(1)
+            return 1.0
+        return optimize.brentq(lambda r: self._radial_survival_quad(r) - tail,
+                               lo, hi, xtol=1e-12, rtol=1e-15)
 
     # -- sampling ---------------------------------------------------------
 
@@ -367,21 +390,12 @@ class LiouvilleParams:
                 "not operator-regularly varying: rapid driving function")
         return float(beta)
 
-    def limiting_density(self, E: DiagExponent, x) -> float:
-        """Operator limit c_f * (sum_{i in (lambda)} x_i)^{-beta} * prod x_i^{a_i-1}."""
+    def limiting_density(self, E: DiagExponent, x):
+        """Operator limit c_f * (sum_{i in (lambda)} x_i)^{-beta} * prod x_i^{a_i-1},
+        +inf where that sum is 0; a float or an array as ``joint_density``."""
         beta = self.rv_beta()
         self._check_exponent(E)
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0):
-            raise ValueError("coordinates must be non-negative")
-        a = np.asarray(self.a)
-        if np.any((x == 0) & (a < 1)):
-            return math.inf
-        s = float(x[list(E.argmax_set)].sum())
-        if s == 0:
-            return math.inf
-        prod = np.prod(np.where((x == 0) & (a == 1), 1.0, x ** (a - 1)))
-        return float(self.norm_const * s ** (-beta) * prod)
+        return self._kernel(x, list(E.argmax_set), lambda s: s ** (-beta))
 
     def tail_normalizer(self, E: DiagExponent, t: float) -> float:
         """V(t) = g(t^{lambda_max}) * t^{sum lambda_i a_i}, the canonical

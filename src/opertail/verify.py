@@ -107,7 +107,7 @@ def suite_empirical_vs_closed(dim: int = 2) -> list:
     for w in grid:
         est = copulatail.empirical_tail_density(
             lambda u: copulatail.copula_density(p, u), r, lambda u: 1.0, kappa, w, u_grid)
-        closed = copulatail.liouville_copula_tail_density(p, E, w)
+        closed = copulatail.liouville_copula_tail_form(p, E)(w)
         worst = max(worst, abs(est.limit - closed) / closed)
     return [CheckResult(f"empirical-vs-closed-d{dim}", worst < tol, worst, tol)]
 

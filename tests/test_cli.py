@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from opertail import LiouvilleParams
 from opertail.cli import main
 
 
@@ -61,6 +62,41 @@ class TestEval:
             x, y = float(row["w1"]), float(row["w2"])
             assert float(row["value"]) == pytest.approx(
                 2.0 * (1 + x + y) ** -3.0, rel=1e-12)
+
+    def test_csv_fields_are_17g(self, tmp_path):
+        cfg = {"distribution": TESTBED,
+               "task": {"evaluator": "limiting_density",
+                        "points": [[1.0, 1.0], [0.1, 1.0 / 3.0], [2.5, 1e-9]]}}
+        rc = main(["eval", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        lines = (tmp_path / "eval.csv").read_text().splitlines()
+        assert lines[0] == "w1,w2,value,formula,normalization"
+        assert len(lines) == 4
+        for line in lines[1:]:
+            *nums, formula, note = line.split(",")
+            assert nums == [f"{float(v):.17g}" for v in nums]
+            assert (formula, note) == ("operator-limit", "c_f carried in the limit form")
+        assert lines[2].startswith("0.10000000000000001,0.33333333333333331,")
+
+    @pytest.mark.parametrize("task,field", [
+        ({"points": [["a", 1.0]]}, "'points'"),
+        ({"points": "abc"}, "'points'"),
+        ({"points": [[1.0, 1.0], [1.0, [2.0]]]}, "'points'"),
+        ({"points": []}, "'points'"),
+        ({"grid": {"num": "x"}}, "'grid.num'"),
+        ({"grid": {"num": 0}}, "'grid.num'"),
+        ({"grid": {"num": 2.5}}, "'grid.num'"),
+        ({"evaluator": "marginal_density", "margin": 5, "points": [[1.0]]}, "'margin'"),
+    ], ids=["non-numeric", "string", "ragged", "empty", "num-x", "num-0", "num-2.5",
+            "margin-5"])
+    def test_bad_input_exit_2(self, tmp_path, capsys, task, field):
+        cfg = {"distribution": TESTBED, "task": {"evaluator": "joint_density", **task}}
+        rc = main(["eval", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "eval.csv").exists()
 
     def test_unknown_evaluator_exit_2(self, tmp_path, capsys):
         cfg = {"distribution": TESTBED, "task": {"evaluator": "mystery",
@@ -124,6 +160,16 @@ class TestSample:
         assert header[0].startswith("# seed=42")
         assert header[1] == "x1,x2"
         assert len(header) == 202
+
+    def test_csv_bytes_match_17g_rows(self, tmp_path):
+        cfg = {"distribution": TESTBED, "seed": 5, "task": {"n": 300}}
+        main(["sample", "--config", write_config(tmp_path, cfg),
+              "--out", str(tmp_path)])
+        p = LiouvilleParams.from_dict(TESTBED)
+        want = "".join([f"# seed=5 params={json.dumps(p.to_dict())}\n", "x1,x2\n"]
+                       + [",".join(f"{v:.17g}" for v in row) + "\n"
+                          for row in p.sample(300, 5)])
+        assert (tmp_path / "samples.csv").read_bytes() == want.encode()
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg = {"distribution": TESTBED, "seed": 1, "task": {"n": 100}}

@@ -8,7 +8,6 @@ from opertail import (DiagExponent, InvertedDirichlet, LiouvilleParams,
                       at_zero, compatibility_defect, copula_density,
                       copula_tail_to_density, density_to_copula_tail,
                       empirical_tail_density, group_invariance_defect,
-                      liouville_copula_tail_density,
                       liouville_copula_tail_form, liouville_limit_form,
                       liouville_marginal_frame, quasihomogeneity_defect)
 from opertail.cli import _make_evaluator
@@ -57,19 +56,17 @@ class TestCopulaDensity:
             copula_density(p2, [0.5, 1.0])
 
     def test_factory_binds_params(self, p2, E2):
-        # the CLI's evaluator factory binds p to copula_density
+        # the CLI's evaluator factory binds p to copula_density, batch in
         c, _, _ = _make_evaluator("copula_density", {}, p2, E2)
-        assert c(np.array([0.5, 0.5])) == pytest.approx(32.0 / 27.0, rel=1e-8)
+        assert c(np.array([[0.5, 0.5]])) == pytest.approx([32.0 / 27.0], rel=1e-8)
 
 
 class TestClosedTailForms:
     def test_values(self, p2, E2):
-        assert liouville_copula_tail_density(p2, E2, [1.0, 1.0]) == \
-            pytest.approx(0.25, rel=1e-12)
-        assert liouville_copula_tail_density(p2, E2, [2.0, 2.0]) == \
-            pytest.approx(0.125, rel=1e-12)
-        assert liouville_copula_tail_density(p2, E2, [1.0, 2.0]) == \
-            pytest.approx(2.0 * 1.5 ** -3.0 * 0.25, rel=1e-12)
+        lam_c = liouville_copula_tail_form(p2, E2)
+        assert lam_c([1.0, 1.0]) == pytest.approx(0.25, rel=1e-12)
+        assert lam_c([2.0, 2.0]) == pytest.approx(0.125, rel=1e-12)
+        assert lam_c([1.0, 2.0]) == pytest.approx(2.0 * 1.5 ** -3.0 * 0.25, rel=1e-12)
 
     def test_general_formula(self, p2):
         # E = diag(1,2): rho = 2*3 - 3 = 3, alpha = (3, 1.5)
@@ -96,6 +93,19 @@ class TestClosedTailForms:
         for x in ([1.0, 1.0], [0.4, 2.2]):
             assert form(x) == pytest.approx(
                 p2.limiting_density(E2, x), rel=1e-12)
+
+    def test_form_batch(self, p2, E2):
+        # lambda_C(w) = 2 (1/w1 + 1/w2)^-3 (w1 w2)^-2, written out by hand
+        w = np.random.default_rng(0).uniform(0.1, 5.0, size=(60, 2))
+        w1, w2 = w.T
+        want = 2.0 * (1.0 / w1 + 1.0 / w2) ** -3.0 * (w1 * w2) ** -2.0
+        form = liouville_copula_tail_form(p2, E2)
+        np.testing.assert_allclose(form(w), want, rtol=1e-14)
+        np.testing.assert_allclose(form(w.reshape(3, 20, 2)), want.reshape(3, 20),
+                                   rtol=1e-14)
+        assert type(form(w[0])) is float
+        with pytest.raises(ValueError, match="dimension"):
+            form(np.ones((3, 3)))
 
     def test_form_rejects_nonpositive(self, p2, E2):
         form = liouville_copula_tail_form(p2, E2)
@@ -135,7 +145,7 @@ class TestTransforms:
         frame = liouville_marginal_frame(p2, E2)
         for w in ([1.0, 1.0], [1.0, 2.0], [0.3, 5.0]):
             assert density_to_copula_tail(lam, frame, w) == pytest.approx(
-                liouville_copula_tail_density(p2, E2, w), rel=1e-12)
+                liouville_copula_tail_form(p2, E2)(w), rel=1e-12)
 
     def test_backward(self, p2, E2):
         lam_c = liouville_copula_tail_form(p2, E2)

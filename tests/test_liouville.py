@@ -85,6 +85,53 @@ class TestJointDensity:
         np.testing.assert_allclose(got, [2.0 / 27.0, 2.0 / 125.0], rtol=1e-12)
 
 
+class TestBatchContract:
+    """One point (d,) gives a float; a batch (..., d) gives an array that
+    matches hand-written closed forms, boundary rows included."""
+
+    # a = (1/2, 1, 2), theta = 5: c_f = Gamma(5) / (Gamma(1/2) Gamma(3/2)) = 48/pi
+    A = [0.5, 1.0, 2.0]
+    # boundary rows: x_i = 0 with a_i < 1, a_i = 1, a_i > 1, and two at once
+    X = np.array([[0.3, 1.2, 2.5], [1.7, 0.4, 0.9], [0.0, 1.0, 1.0],
+                  [0.5, 0.0, 1.0], [0.5, 1.0, 0.0], [0.0, 1.0, 0.0]])
+
+    @pytest.fixture(scope="class")
+    def p(self):
+        return LiouvilleParams(self.A, InvertedDirichlet(5.0))
+
+    def test_joint_density_batch(self, p):
+        x1, x2, x3 = self.X.T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = 48.0 / math.pi * (1 + x1 + x2 + x3) ** -5.0 * x1 ** -0.5 * x3
+        want[-1] = math.inf  # the a_i < 1 divergence wins over a_i > 1 at zero
+        np.testing.assert_allclose(p.joint_density(self.X), want, rtol=1e-14)
+        np.testing.assert_allclose(p.joint_density(self.X.reshape(2, 3, 3)),
+                                   want.reshape(2, 3), rtol=1e-14)
+
+    def test_limiting_density_batch(self, p):
+        # E = diag(1, 1, 2): argmax set {3}, so c_f x3^-5 x1^-1/2 x3; +inf
+        # where x3 = 0 (argmax-set sum 0) although a_3 > 1 there
+        x1, _, x3 = self.X.T
+        with np.errstate(divide="ignore"):
+            want = 48.0 / math.pi * x1 ** -0.5 * x3 ** -4.0
+        got = p.limiting_density(DiagExponent([1.0, 1.0, 2.0]), self.X)
+        assert np.isinf(got[[2, 4, 5]]).all()
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+
+    def test_one_point_is_float(self, p):
+        E = DiagExponent([1.0, 1.0, 2.0])
+        for x in self.X:
+            assert type(p.joint_density(x)) is float
+            assert type(p.limiting_density(E, x)) is float
+
+    def test_wrong_width_rejected(self, p):
+        wide = np.ones((4, 4))
+        with pytest.raises(ValueError, match="dimension"):
+            p.joint_density(wide)
+        with pytest.raises(ValueError, match="dimension"):
+            p.limiting_density(DiagExponent([1.0, 1.0, 2.0]), wide)
+
+
 class TestRadialPart:
     def test_cdf_closed_form(self, p2):
         for r in [0.1, 1.0, 5.0, 100.0]:
@@ -101,6 +148,20 @@ class TestRadialPart:
         for q in [0.2, 0.8]:
             r = p.radial_quantile(q)
             assert p.radial_cdf(r) == pytest.approx(q, abs=1e-9)
+
+    @pytest.mark.parametrize("k", range(2, 12))
+    def test_generic_rv_deep_tail_quantile(self, k):
+        # GenericRV(3, 0) with a = (1, 1) is the inverted Dirichlet with
+        # survival S(r) = (1 + 2r) / (1 + r)^2, here reached by quadrature
+        p = LiouvilleParams([1.0, 1.0], GenericRV(3.0, 0.0))
+        r = p.radial_quantile(1.0 - 10.0 ** -k)
+        assert (1 + 2 * r) / (1 + r) ** 2 == pytest.approx(10.0 ** -k, rel=1e-9)
+
+    @pytest.mark.parametrize("r", [1e7, 1.85e7])
+    def test_generic_rv_deep_tail_cdf(self, r):
+        p = LiouvilleParams([1.0, 1.0], GenericRV(3.0, 0.0))
+        assert 1.0 - p.radial_cdf(r) == pytest.approx((1 + 2 * r) / (1 + r) ** 2,
+                                                      rel=1e-7)
 
     def test_rapid_gamma_radial(self):
         # g(t) = e^{-t} with A = 2: the radial part is Gamma(2, 1)

@@ -1,12 +1,16 @@
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_every_declared_dependency_imports():
@@ -15,3 +19,14 @@ def test_every_declared_dependency_imports():
     for requirement in requirements:
         name = re.match(r"[A-Za-z0-9_.-]+", requirement).group(0)
         importlib.import_module(name.replace("-", "_"))
+
+
+def test_suite_collects_without_pythonpath():
+    # pyproject's pytest settings put src/ on sys.path, so a bare
+    # `python -m pytest` from the root works without installing the package
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q",
+         "-p", "no:cacheprovider", "tests/test_cli.py"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
