@@ -77,6 +77,14 @@ def _int_field(value, field: str, lo: int, hi: float = float("inf")) -> int:
     return int(value)
 
 
+def _num_field(value, field: str) -> float:
+    """``value`` as a finite float; bools, strings, null and lists fail."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"invalid field {field!r}: need a finite number, got {value!r}")
+    return float(value)
+
+
 def _grid_points(task: dict, dim: int) -> np.ndarray:
     """The task's points, or its grid in "ij" order, as one (n, dim) array."""
     if "points" in task:
@@ -86,7 +94,10 @@ def _grid_points(task: dict, dim: int) -> np.ndarray:
             raise ConfigError(f"invalid field 'points': {e}")
     elif "grid" in task:
         g = task["grid"]
-        axis = np.linspace(float(g.get("start", 0.5)), float(g.get("stop", 2.0)),
+        if not isinstance(g, dict):
+            raise ConfigError(f"invalid field 'grid': need an object, got {g!r}")
+        axis = np.linspace(_num_field(g.get("start", 0.5), "grid.start"),
+                           _num_field(g.get("stop", 2.0), "grid.stop"),
                            _int_field(g.get("num", 5), "grid.num", 1))
         pts = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), -1).reshape(-1, dim)
     else:
@@ -109,7 +120,7 @@ def _make_evaluator(name: str, task: dict, p: LiouvilleParams, E: DiagExponent):
         return form, "copula-tail-closed-form", "c_f carried in the limit form"
     if name == "copula_density":
         return (lambda U: [copulatail.copula_density(p, u) for u in U],
-                "copula-density", "margins via Weyl quadrature")
+                "copula-density", "Liouville marginal law")
     if name == "marginal_density":
         i = _int_field(task.get("margin", 0), "margin", 0, p.dim)
         return (lambda X: [p.marginal_density(i, float(x)) for x in X[:, 0]],

@@ -163,9 +163,10 @@ class CompatibilityResult:
 def copula_density(p: LiouvilleParams, u) -> float:
     """c(u) = f(F_1^{-1}(u_1), ..) / prod f_i(F_i^{-1}(u_i)).
 
-    Quantiles and marginal densities come from the Liouville machinery
-    (Weyl-integral marginals), so this route is independent of the closed
-    tail-density forms it is checked against.
+    Quantiles and marginal densities come from the exact Liouville marginal
+    law (beta-prime or gamma; Weyl and radial quadrature for GenericRV), so
+    this route is independent of the closed tail-density forms it is
+    checked against.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.shape[0] != p.dim:

@@ -11,7 +11,11 @@ Three driving variants are supported:
 
 The stochastic representation X = R * D with D ~ Dirichlet(a) independent
 of the radial part R (density proportional to t^{A-1} g(t), A = sum a_i)
-drives both the sampler and the marginal CDF quadrature.
+drives the sampler. The margins are exact for the closed drivers: under
+the inverted Dirichlet X_i ~ BetaPrime(a_i, theta - A), and under ``Rapid``
+the X_i are independent Gamma(a_i). For ``GenericRV`` the marginal density
+is a Weyl-integral quadrature and the marginal survival a quadrature of
+the radial survival against the Beta(a_i, A - a_i) law of D_i.
 """
 
 from __future__ import annotations
@@ -207,7 +211,7 @@ class LiouvilleParams:
         elif isinstance(self.g, Rapid):
             out = special.gammainc(A, r)
         else:
-            out = np.vectorize(self._radial_cdf_quad)(r)
+            out = np.vectorize(self._radial_cdf_quad, otypes=[float])(r)
         return float(out) if out.ndim == 0 else out
 
     def _radial_cdf_quad(self, r: float) -> float:
@@ -239,15 +243,23 @@ class LiouvilleParams:
         elif isinstance(self.g, Rapid):
             out = special.gammaincinv(A, q)
         else:
-            out = np.vectorize(self._radial_quantile_root)(q)
+            out = np.vectorize(self._radial_quantile_root, otypes=[float])(
+                q, self._radial_cdf_quad(1.0))
         return float(out) if out.ndim == 0 else out
 
-    def _radial_quantile_root(self, q: float) -> float:
-        """A root of the CDF in (0, 1] when q <= CDF(1); above, a root of
-        S(r) = 1 - q bracketed upward from 1, which keeps the deep tail accurate."""
-        if q <= self._radial_cdf_quad(1.0):
+    def _radial_sf_quad(self, r: float) -> float:
+        """P(R > r): S(r) integrated directly above r = 1, 1 - CDF below."""
+        if r > 1.0:
+            return self._radial_survival_quad(r)
+        return 1.0 - self._radial_cdf_quad(r)
+
+    def _radial_quantile_root(self, q: float, cdf1: float) -> float:
+        """A root of the CDF in (0, 1] when q <= cdf1 = CDF(1), to a relative
+        tolerance; above, a root of S(r) = 1 - q bracketed upward from 1,
+        which keeps the deep tail accurate."""
+        if q <= cdf1:
             return optimize.brentq(lambda r: self._radial_cdf_quad(r) - q,
-                                   1e-300, 1.0, xtol=1e-12, rtol=1e-15)
+                                   1e-300, 1.0, xtol=1e-300, rtol=1e-12)
         tail = 1.0 - q
         lo = hi = 1.0
         while self._radial_survival_quad(hi) > tail:
@@ -274,19 +286,29 @@ class LiouvilleParams:
         r = np.asarray(self.radial_quantile(u), dtype=float)
         return r[:, None] * d
 
-    # -- marginals via the Weyl fractional integral -----------------------
+    # -- marginals: closed laws, or the Weyl fractional integral ----------
 
     def weyl_integral(self, order: float, x: float) -> float:
         """W^order g(x) = (1/Gamma(order)) * int_x^inf (s-x)^{order-1} g(s) ds.
 
-        Computed on the unit interval through s = x + u/(1-u); the endpoint
-        singularity for order < 1 is absorbed into an algebraic quadrature
-        weight.
+        Closed for the closed drivers: Gamma(theta-m)/Gamma(theta) * (1+x)^{m-theta}
+        for the inverted Dirichlet (the Beta integral; it diverges for
+        m >= theta) and e^{-x} for ``Rapid``. For ``GenericRV`` it is a
+        quadrature on the unit interval through s = x + u/(1-u); the endpoint
+        singularity for order < 1 is absorbed into an algebraic weight.
         """
         if order == 0:
             return float(self.g(x))
         if order < 0:
             raise ValueError("order must be non-negative")
+        if isinstance(self.g, InvertedDirichlet):
+            theta = self.g.theta
+            if order >= theta:
+                raise ValueError(f"W^{order} of (1+t)^-{theta} diverges: "
+                                 "need order < theta")
+            return (1.0 + x) ** (order - theta) / special.poch(theta - order, order)
+        if isinstance(self.g, Rapid):
+            return math.exp(-x)
 
         def core(u):
             s = x + u / (1.0 - u)
@@ -314,7 +336,9 @@ class LiouvilleParams:
             sum(special.gammaln(v) for j, v in enumerate(self.a) if j != i))
 
     def marginal_density(self, i: int, x: float) -> float:
-        """f_i(x) = kappa_i * W^{a^{(i)}} g(x) * x^{a_i - 1}, a^{(i)} = sum_{j != i} a_j."""
+        """f_i(x) = kappa_i * W^{a^{(i)}} g(x) * x^{a_i - 1}, a^{(i)} = sum_{j != i} a_j:
+        the BetaPrime(a_i, theta - A) or Gamma(a_i) density for the closed
+        drivers, through the closed ``weyl_integral``."""
         self._check_margin(i)
         if x < 0:
             raise ValueError("x must be non-negative")
@@ -329,19 +353,29 @@ class LiouvilleParams:
         return self._marginal_norm(i) * self.weyl_integral(order, x) * pow_term
 
     def _marginal_survival(self, i: int, x: float) -> float:
-        """P(X_i > x) through the mixing identity X_i = R * D_i with
-        D_i ~ Beta(a_i, A - a_i): a single quadrature over the beta weight."""
+        """P(X_i > x): the BetaPrime(a_i, theta - A) or Gamma(a_i) survival for
+        the closed drivers (d = 1 included, where the margin is the radial
+        law); for GenericRV the mixing identity X_i = R * D_i with
+        D_i ~ Beta(a_i, A - a_i), a single quadrature over the beta weight."""
         if x <= 0:
             return 1.0
         ai = self.a[i]
+        if isinstance(self.g, InvertedDirichlet):
+            # keep the beta argument <= 1/2: for tiny x, 1/(1+x) rounds to 1
+            b = self.g.theta - self.total_shape
+            if x >= 1.0:
+                return float(special.betainc(b, ai, 1.0 / (1.0 + x)))
+            return float(special.betaincc(ai, b, x / (1.0 + x)))
+        if isinstance(self.g, Rapid):
+            return float(special.gammaincc(ai, x))
         m = self.total_shape - ai
         if m == 0:  # d = 1: the margin is the radial part
-            return 1.0 - float(self.radial_cdf(x))
+            return self._radial_sf_quad(x)
 
         def core(v):
             if v <= 0.0:  # x/v -> inf, survival vanishes there
                 return 0.0
-            return 1.0 - float(self.radial_cdf(x / v))
+            return self._radial_sf_quad(x / v)
 
         val, _ = integrate.quad(core, 0.0, 1.0, weight="alg",
                                 wvar=(ai - 1.0, m - 1.0),
@@ -363,6 +397,21 @@ class LiouvilleParams:
         return self._marginal_quantile_cached(i, float(q))
 
     def _marginal_quantile_impl(self, i: int, q: float) -> float:
+        """The closed inverse for the closed drivers, inverting the CDF for
+        q <= 1/2 and the survival above, so that neither tail cancels;
+        GenericRV roots survival(x) = 1 - q by brentq."""
+        ai = self.a[i]
+        if isinstance(self.g, InvertedDirichlet):
+            b = self.g.theta - self.total_shape
+            if q <= 0.5:
+                y = special.betaincinv(ai, b, q)
+                return float(y / (1.0 - y))
+            z = special.betaincinv(b, ai, 1.0 - q)
+            return float((1.0 - z) / z)
+        if isinstance(self.g, Rapid):
+            if q <= 0.5:
+                return float(special.gammaincinv(ai, q))
+            return float(special.gammainccinv(ai, 1.0 - q))
         s = 1.0 - q  # solve survival(x) = s; survival is decreasing
         lo, hi = 1.0, 1.0
         while self._marginal_survival(i, hi) > s:

@@ -88,8 +88,12 @@ class TestEval:
         ({"grid": {"num": 0}}, "'grid.num'"),
         ({"grid": {"num": 2.5}}, "'grid.num'"),
         ({"evaluator": "marginal_density", "margin": 5, "points": [[1.0]]}, "'margin'"),
+        ({"grid": [1, 2]}, "'grid'"),
+        ({"grid": {"start": None}}, "'grid.start'"),
+        ({"grid": {"stop": [1]}}, "'grid.stop'"),
+        ({"grid": {"start": "x"}}, "'grid.start'"),
     ], ids=["non-numeric", "string", "ragged", "empty", "num-x", "num-0", "num-2.5",
-            "margin-5"])
+            "margin-5", "grid-list", "start-null", "stop-list", "start-x"])
     def test_bad_input_exit_2(self, tmp_path, capsys, task, field):
         cfg = {"distribution": TESTBED, "task": {"evaluator": "joint_density", **task}}
         rc = main(["eval", "--config", write_config(tmp_path, cfg),

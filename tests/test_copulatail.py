@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from opertail import (DiagExponent, InvertedDirichlet, LiouvilleParams,
+from opertail import (DiagExponent, GenericRV, InvertedDirichlet, LiouvilleParams,
                       MarginalFrame, RVSpec, TailDensityForm, TailOrder,
                       at_zero, compatibility_defect, copula_density,
                       copula_tail_to_density, density_to_copula_tail,
@@ -59,6 +59,27 @@ class TestCopulaDensity:
         # the CLI's evaluator factory binds p to copula_density, batch in
         c, _, _ = _make_evaluator("copula_density", {}, p2, E2)
         assert c(np.array([[0.5, 0.5]])) == pytest.approx([32.0 / 27.0], rel=1e-8)
+
+
+class TestCopulaDensityGenericRV:
+    """GenericRV(3, 0) with a = (1, 1) is the test bed's law, reached through
+    the Weyl and radial quadratures, so ``TestCopulaDensity``'s oracles hold."""
+
+    @pytest.fixture(scope="class")
+    def pg(self):
+        return LiouvilleParams([1.0, 1.0], GenericRV(3.0, 0.0))
+
+    def test_center_value(self, pg):
+        assert copula_density(pg, [0.5, 0.5]) == pytest.approx(32.0 / 27.0, rel=1e-8)
+
+    def test_upper_corner_value(self, pg):
+        assert copula_density(pg, [0.9, 0.9]) == pytest.approx(
+            closed_copula_density(0.9, 0.9), rel=1e-8)
+
+    @pytest.mark.parametrize("u,v", [(0.2, 0.7), (0.95, 0.3), (0.99, 0.99)])
+    def test_matches_closed_oracle(self, pg, u, v):
+        assert copula_density(pg, [u, v]) == pytest.approx(
+            closed_copula_density(u, v), rel=1e-7)
 
 
 class TestClosedTailForms:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate, stats
-from scipy.special import betaln
+from scipy.special import betainc, betaln, gammainc, gammaincc
 
 from opertail import (DiagExponent, GenericRV, IntegrabilityError,
                       InvertedDirichlet, LiouvilleParams,
@@ -331,3 +331,116 @@ class TestSerialization:
         with pytest.raises(ValueError, match="unknown driving function"):
             driving_from_dict({"type": "mystery"})
 
+
+def rel12(want):
+    """pytest.approx at rel 1e-12 without its default 1e-12 absolute floor,
+    which would pass any value below 1e-12."""
+    return pytest.approx(want, rel=1e-12, abs=0)
+
+
+class TestClosedMargins:
+    """The closed drivers' margins against hand-written laws: BetaPrime(a_i, b)
+    with b = theta - A for the inverted Dirichlet, Gamma(a_i) for Rapid."""
+
+    XS = [1e-3, 0.3, 1.0, 7.0, 1e6]
+    QS = [1e-10, 0.3, 0.5, 0.7, 1.0 - 1e-10]
+
+    @pytest.fixture(scope="class")
+    def pid(self):
+        return LiouvilleParams([0.5, 1.5], InvertedDirichlet(4.0))  # b = 2
+
+    @pytest.fixture(scope="class")
+    def prapid(self):
+        return LiouvilleParams([0.7, 1.3], Rapid())
+
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_inverted_dirichlet_density_and_survival(self, pid, i):
+        law = stats.betaprime(pid.a[i], 2.0)
+        for x in self.XS:
+            assert pid.marginal_density(i, x) == rel12(law.pdf(x))
+            assert pid._marginal_survival(i, x) == rel12(law.sf(x))
+
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_rapid_density_and_survival(self, prapid, i):
+        law = stats.gamma(prapid.a[i])
+        for x in self.XS:
+            assert prapid.marginal_density(i, x) == rel12(law.pdf(x))
+            assert prapid._marginal_survival(i, x) == rel12(law.sf(x))
+
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_inverted_dirichlet_quantile(self, pid, i):
+        # scipy's betaprime.ppf is no oracle here: at q = 1e-10 its root
+        # finder gives up and is off by orders of magnitude
+        ai = pid.a[i]
+        for q in self.QS:
+            x = pid.marginal_quantile(i, q)
+            if q <= 0.5:
+                assert betainc(ai, 2.0, x / (1 + x)) == rel12(q)
+            else:
+                assert betainc(2.0, ai, 1 / (1 + x)) == rel12(1 - q)
+
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_rapid_quantile(self, prapid, i):
+        ai = prapid.a[i]
+        for q in self.QS:
+            x = prapid.marginal_quantile(i, q)
+            if q <= 0.5:
+                assert gammainc(ai, x) == rel12(q)
+            else:
+                assert gammaincc(ai, x) == rel12(1 - q)
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.5])
+    def test_weyl_beta_identity(self, pid, m):
+        # W^m (1+s)^{-theta}(x) = B(m, theta-m)/Gamma(m) * (1+x)^{m-theta}
+        for x in [0.0, 0.3, 7.0, 1e6]:
+            want = math.exp(betaln(m, 4.0 - m)) / math.gamma(m) * (1 + x) ** (m - 4.0)
+            assert pid.weyl_integral(m, x) == rel12(want)
+
+    @pytest.mark.parametrize("m", [4.0, 5.5])
+    def test_weyl_divergent_order_raises(self, pid, m):
+        with pytest.raises(ValueError, match="diverges"):
+            pid.weyl_integral(m, 1.0)
+
+    def test_d1_margin_is_radial_law(self):
+        # d = 1: BetaPrime(A, theta - A) = the radial law
+        p = LiouvilleParams([1.5], InvertedDirichlet(4.0))
+        for x in [0.3, 7.0]:
+            assert p.marginal_cdf(0, x) == rel12(p.radial_cdf(x))
+
+
+class TestGenericRVQuadRoute:
+    """GenericRV(3, 0) with a = (1, 1) is the law of the inverted-Dirichlet
+    test bed reached through quadrature, so the closed oracles of
+    ``TestMarginals`` apply at the same tolerances."""
+
+    @pytest.fixture(scope="class")
+    def pg(self):
+        return LiouvilleParams([1.0, 1.0], GenericRV(3.0, 0.0))
+
+    def test_weyl_integral(self, pg):
+        for x in [0.0, 1.0, 10.0]:
+            assert pg.weyl_integral(1.0, x) == pytest.approx(
+                0.5 * (1 + x) ** -2.0, rel=1e-10)
+
+    def test_density(self, pg):
+        for x in np.linspace(0.0, 50.0, 26):
+            assert abs(pg.marginal_density(0, x) - (1 + x) ** -2.0) < 1e-8
+
+    def test_cdf(self, pg):
+        for x in [0.1, 1.0, 9.0, 100.0]:
+            assert pg.marginal_cdf(0, x) == pytest.approx(x / (1 + x), abs=1e-10)
+
+    def test_quantile(self, pg):
+        for q in [0.05, 0.5, 0.999]:
+            assert pg.marginal_quantile(0, q) == pytest.approx(q / (1 - q), rel=1e-10)
+
+    @pytest.mark.parametrize("x", [1e6, 1e10, 1e12])
+    def test_deep_tail_survival(self, pg, x):
+        # the closed survival is 1/(1+x); 1 - CDF would keep only absolute accuracy
+        assert pg._marginal_survival(0, x) == rel12(1 / (1 + x))
+
+    @pytest.mark.parametrize("q", [1e-12, 1e-14, 1e-16])
+    def test_small_radial_quantile(self, pg, q):
+        # CDF (r/(1+r))^2 inverts to sqrt(q)/(1 - sqrt(q))
+        s = math.sqrt(q)
+        assert pg.radial_quantile(q) == rel12(s / (1 - s))
