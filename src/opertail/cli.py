@@ -108,6 +108,19 @@ def _grid_points(task: dict, dim: int) -> np.ndarray:
     return pts
 
 
+# each evaluator's domain: a test on the (n, d) points and its statement
+_NONNEGATIVE = (lambda X: (X >= 0).all(1), "coordinates >= 0")
+_DOMAINS = {
+    "joint_density": _NONNEGATIVE,
+    "limiting_density": _NONNEGATIVE,
+    "marginal_density": _NONNEGATIVE,
+    "liouville_copula_tail_density": (lambda W: (W > 0).all(1), "coordinates > 0"),
+    "copula_density": (lambda U: ((U > 0) & (U < 1)).all(1), "coordinates in (0, 1)"),
+    "exponent_function": (lambda W: (W >= 0).all(1) & (W > 0).any(1),
+                          "coordinates >= 0, not all 0"),
+}
+
+
 def _make_evaluator(name: str, task: dict, p: LiouvilleParams, E: DiagExponent):
     """(fn, formula, normalization); ``fn`` maps an (n, d) array to n values."""
     if name == "joint_density":
@@ -147,6 +160,9 @@ def cmd_eval(cfg: dict, out_dir: Path) -> int:
     dim = 1 if name == "marginal_density" else p.dim
     fn, formula, note = _make_evaluator(name, task, p, E)
     points = _grid_points(task, dim)
+    inside, domain = _DOMAINS[name]
+    if not inside(points).all():
+        raise ConfigError(f"invalid field 'points': {name} needs {domain}")
     out_path = out_dir / "eval.csv"
     cols = [f"w{i + 1}" for i in range(dim)]
     _write_csv(out_path, [",".join(cols + ["value", "formula", "normalization"])],
@@ -175,7 +191,10 @@ def cmd_sample(cfg: dict, out_dir: Path, seed_override) -> int:
 def cmd_verify(cfg: dict, out_dir: Path, seed_override) -> int:
     task = _require(cfg, "task")
     name = _require(task, "suite")
-    kwargs = dict(task.get("params", {}))
+    params = task.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"invalid field 'params': need an object, got {params!r}")
+    kwargs = dict(params)
     if seed_override is not None and name in ("orthant-mc", "marginal-hill",
                                               "transform-roundtrip"):
         kwargs["seed"] = int(seed_override)

@@ -11,11 +11,14 @@ Three driving variants are supported:
 
 The stochastic representation X = R * D with D ~ Dirichlet(a) independent
 of the radial part R (density proportional to t^{A-1} g(t), A = sum a_i)
-drives the sampler. The margins are exact for the closed drivers: under
-the inverted Dirichlet X_i ~ BetaPrime(a_i, theta - A), and under ``Rapid``
-the X_i are independent Gamma(a_i). For ``GenericRV`` the marginal density
-is a Weyl-integral quadrature and the marginal survival a quadrature of
-the radial survival against the Beta(a_i, A - a_i) law of D_i.
+drives the sampler. R and every margin X_i belong to one law family per
+driver, indexed by a shape s (s = A for R, s = a_i for X_i): BetaPrime(s,
+theta - A) for the inverted Dirichlet and Gamma(s) for ``Rapid``, closed;
+for ``GenericRV`` quadratures of the Weyl-integral density and of the
+radial survival. ``LiouvilleParams._law(s)`` gives that law's CDF,
+survival, quantile and inverse survival, and every quantile follows one
+two-sided rule: the CDF is inverted for q <= 1/2 and the survival 1 - q
+above, so that neither tail cancels.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence, Union
 
 import numpy as np
@@ -136,8 +139,7 @@ class LiouvilleParams:
                   - sum(special.gammaln(v) for v in a)
                   - math.log(self.radial_norm))
         self.norm_const = math.exp(log_cf)
-        self._marginal_quantile_cached = lru_cache(maxsize=4096)(
-            self._marginal_quantile_impl)
+        self._marginal_quantile_cached = lru_cache(maxsize=4096)(self._quantile)
 
     def _radial_norm(self) -> float:
         A = self.total_shape
@@ -205,69 +207,94 @@ class LiouvilleParams:
         r = np.asarray(r, dtype=float)
         if np.any(r <= 0):
             raise ValueError("radial_cdf requires r > 0")
-        A = self.total_shape
-        if isinstance(self.g, InvertedDirichlet):
-            out = special.betainc(A, self.g.theta - A, r / (1.0 + r))
-        elif isinstance(self.g, Rapid):
-            out = special.gammainc(A, r)
-        else:
-            out = np.vectorize(self._radial_cdf_quad, otypes=[float])(r)
-        return float(out) if out.ndim == 0 else out
-
-    def _radial_cdf_quad(self, r: float) -> float:
-        # above r = 1 the integral over (0, r) would lose the tail mass to
-        # rounding, so the CDF there is 1 - S(r) with S integrated directly
-        if r > 1.0:
-            return 1.0 - self._radial_survival_quad(r)
-        A = self.total_shape
-        val, _ = integrate.quad(lambda t: t ** (A - 1) * float(self.g(t)),
-                                0.0, r, epsabs=0.0, epsrel=1e-11, limit=400)
-        return min(val / self.radial_norm, 1.0)
-
-    def _radial_survival_quad(self, r: float) -> float:
-        """S(r) = P(R > r) = r^A int_0^1 s^{-A-1} g(r/s) ds / N, by t = r/s."""
-        A = self.total_shape
-        val, _ = integrate.quad(lambda s: s ** (-A - 1) * float(self.g(r / s)),
-                                0.0, 1.0, epsabs=0.0, epsrel=1e-11, limit=400)
-        return r ** A * val / self.radial_norm
+        out = self._law(self.total_shape)[0](r)
+        return float(out) if np.ndim(out) == 0 else out
 
     def radial_quantile(self, q) -> float:
-        """Inverse radial CDF by closed form where available, else brentq."""
+        """Inverse radial CDF by the two-sided rule of ``_quantile``: closed
+        for the closed drivers, a root of the quadrature CDF or survival for
+        GenericRV."""
         q = np.asarray(q, dtype=float)
         if np.any((q <= 0) | (q >= 1)):
             raise ValueError("radial_quantile requires q in (0, 1)")
-        A = self.total_shape
+        return self._quantile(self.total_shape, q)
+
+    # -- one law per driver: R (shape s = A) and every X_i (s = a_i) ------
+
+    def _law(self, s: float):
+        """(cdf, sf, ppf, isf) of the law with shape s, array-in: the law of R
+        for s = A and of X_i for s = a_i. BetaPrime(s, theta - A) for the
+        inverted Dirichlet, Gamma(s) for ``Rapid``; for GenericRV the
+        quadratures of ``_quad_sides``, inverted by ``_root``."""
         if isinstance(self.g, InvertedDirichlet):
-            b = special.betaincinv(A, self.g.theta - A, q)
-            out = b / (1.0 - b)
-        elif isinstance(self.g, Rapid):
-            out = special.gammaincinv(A, q)
+            b = self.g.theta - self.total_shape
+
+            def ratio(u, v, t):  # Y/(1-Y) at the t-quantile of Y ~ Beta(u, v)
+                y = special.betaincinv(u, v, t)
+                return y / (1.0 - y)
+
+            def sf(x):  # keep the beta argument <= 1/2: for tiny x, 1/(1+x) rounds to 1
+                x = np.asarray(x, dtype=float)
+                return np.where(x >= 1.0, special.betainc(b, s, 1.0 / (1.0 + x)),
+                                special.betaincc(s, b, x / (1.0 + x)))
+
+            # 1/X ~ BetaPrime(b, s), so the isf of X is 1/ppf of that law
+            return (lambda x: special.betainc(s, b, x / (1.0 + x)), sf,
+                    lambda q: ratio(s, b, q), lambda p: 1.0 / ratio(b, s, p))
+        if isinstance(self.g, Rapid):
+            return tuple(partial(f, s) for f in (special.gammainc, special.gammaincc,
+                                                 special.gammaincinv, special.gammainccinv))
+        cdf, sf = self._quad_sides(s)
+        return tuple(np.vectorize(f, otypes=[float]) for f in (
+            cdf, sf, lambda q: _root(cdf, q), lambda p: _root(lambda x: -sf(x), -p)))
+
+    def _quad_sides(self, s: float):
+        """Scalar (cdf, sf) of the GenericRV law with shape s, each integrated
+        directly on its own side of x = 1 and one minus the other beyond it.
+        The CDF is kappa_s * int_0^x W^{A-s} g(t) t^{s-1} dt with the power as
+        quad's algebraic weight; the survival of R is S(r) = r^A int_0^1
+        u^{-A-1} g(r/u) du / N (t = r/u), and that of X_i is the mean of S(x/v)
+        over the Beta(s, A - s) law of D_i in X_i = R * D_i."""
+        A, m = self.total_shape, self.total_shape - s
+        kappa = self._shape_norm(s)
+        w = (lambda t: float(self.g(t))) if m == 0 else partial(self.weyl_integral, m)
+
+        def low(x):
+            val, _ = integrate.quad(w, 0.0, x, weight="alg", wvar=(s - 1.0, 0.0),
+                                    epsabs=0.0, epsrel=1e-11, limit=400)
+            return min(kappa * val, 1.0)
+
+        if m == 0:
+            def high(r):
+                val, _ = integrate.quad(lambda u: u ** (-A - 1) * float(self.g(r / u)),
+                                        0.0, 1.0, epsabs=0.0, epsrel=1e-11, limit=400)
+                return r ** A * val / self.radial_norm
         else:
-            out = np.vectorize(self._radial_quantile_root, otypes=[float])(
-                q, self._radial_cdf_quad(1.0))
-        return float(out) if out.ndim == 0 else out
+            radial_sf = self._quad_sides(A)[1]
 
-    def _radial_sf_quad(self, r: float) -> float:
-        """P(R > r): S(r) integrated directly above r = 1, 1 - CDF below."""
-        if r > 1.0:
-            return self._radial_survival_quad(r)
-        return 1.0 - self._radial_cdf_quad(r)
+            def high(x):  # x/v -> inf as v -> 0, where the survival vanishes
+                val, _ = integrate.quad(lambda v: radial_sf(x / v) if v > 0 else 0.0,
+                                        0.0, 1.0, weight="alg", wvar=(s - 1.0, m - 1.0),
+                                        epsabs=1e-13, epsrel=1e-11, limit=400)
+                return val / math.exp(special.betaln(s, m))
 
-    def _radial_quantile_root(self, q: float, cdf1: float) -> float:
-        """A root of the CDF in (0, 1] when q <= cdf1 = CDF(1), to a relative
-        tolerance; above, a root of S(r) = 1 - q bracketed upward from 1,
-        which keeps the deep tail accurate."""
-        if q <= cdf1:
-            return optimize.brentq(lambda r: self._radial_cdf_quad(r) - q,
-                                   1e-300, 1.0, xtol=1e-300, rtol=1e-12)
-        tail = 1.0 - q
-        lo = hi = 1.0
-        while self._radial_survival_quad(hi) > tail:
-            lo, hi = hi, 4.0 * hi
-        if hi == 1.0:  # q is within rounding of CDF(1)
-            return 1.0
-        return optimize.brentq(lambda r: self._radial_survival_quad(r) - tail,
-                               lo, hi, xtol=1e-12, rtol=1e-15)
+        return (lambda x: low(x) if x <= 1.0 else 1.0 - high(x),
+                lambda x: high(x) if x > 1.0 else 1.0 - low(x))
+
+    def _quantile(self, s: float, q):
+        """The inverse CDF of the law with shape s by one rule: ppf(q) for
+        q <= 1/2 and isf(1 - q) above, so that neither tail cancels. Each side
+        is evaluated on its own entries only."""
+        _, _, ppf, isf = self._law(s)
+        q = np.asarray(q, dtype=float)
+        flat, out = q.ravel(), np.empty(q.size)
+        low = flat <= 0.5
+        # integer indices: boolean indexing on a random mask is ~5x slower
+        idx = np.flatnonzero(low)
+        out[idx] = ppf(flat[idx])
+        idx = np.flatnonzero(~low)
+        out[idx] = isf(1.0 - flat[idx])
+        return float(out[0]) if q.ndim == 0 else out.reshape(q.shape)
 
     # -- sampling ---------------------------------------------------------
 
@@ -286,7 +313,7 @@ class LiouvilleParams:
         r = np.asarray(self.radial_quantile(u), dtype=float)
         return r[:, None] * d
 
-    # -- marginals: closed laws, or the Weyl fractional integral ----------
+    # -- marginals: the law above, and the Weyl fractional integral -------
 
     def weyl_integral(self, order: float, x: float) -> float:
         """W^order g(x) = (1/Gamma(order)) * int_x^inf (s-x)^{order-1} g(s) ds.
@@ -330,10 +357,11 @@ class LiouvilleParams:
                                         limit=400)
         return val / math.exp(special.gammaln(order))
 
-    def _marginal_norm(self, i: int) -> float:
-        # kappa_i = c_f * prod_{j != i} Gamma(a_j), exact by Liouville's formula
-        return self.norm_const * math.exp(
-            sum(special.gammaln(v) for j, v in enumerate(self.a) if j != i))
+    def _shape_norm(self, s: float) -> float:
+        # kappa_s = Gamma(A) / (Gamma(s) N), exact by Liouville's formula; for
+        # s = a_i it is c_f * prod_{j != i} Gamma(a_j), and 1/N for s = A
+        return math.exp(special.gammaln(self.total_shape) - special.gammaln(s)
+                        - math.log(self.radial_norm))
 
     def marginal_density(self, i: int, x: float) -> float:
         """f_i(x) = kappa_i * W^{a^{(i)}} g(x) * x^{a_i - 1}, a^{(i)} = sum_{j != i} a_j:
@@ -350,81 +378,34 @@ class LiouvilleParams:
                 return 0.0
         order = self.total_shape - ai
         pow_term = 1.0 if (x == 0 and ai == 1) else x ** (ai - 1.0)
-        return self._marginal_norm(i) * self.weyl_integral(order, x) * pow_term
+        return self._shape_norm(ai) * self.weyl_integral(order, x) * pow_term
 
     def _marginal_survival(self, i: int, x: float) -> float:
-        """P(X_i > x): the BetaPrime(a_i, theta - A) or Gamma(a_i) survival for
-        the closed drivers (d = 1 included, where the margin is the radial
-        law); for GenericRV the mixing identity X_i = R * D_i with
-        D_i ~ Beta(a_i, A - a_i), a single quadrature over the beta weight."""
-        if x <= 0:
-            return 1.0
-        ai = self.a[i]
-        if isinstance(self.g, InvertedDirichlet):
-            # keep the beta argument <= 1/2: for tiny x, 1/(1+x) rounds to 1
-            b = self.g.theta - self.total_shape
-            if x >= 1.0:
-                return float(special.betainc(b, ai, 1.0 / (1.0 + x)))
-            return float(special.betaincc(ai, b, x / (1.0 + x)))
-        if isinstance(self.g, Rapid):
-            return float(special.gammaincc(ai, x))
-        m = self.total_shape - ai
-        if m == 0:  # d = 1: the margin is the radial part
-            return self._radial_sf_quad(x)
-
-        def core(v):
-            if v <= 0.0:  # x/v -> inf, survival vanishes there
-                return 0.0
-            return self._radial_sf_quad(x / v)
-
-        val, _ = integrate.quad(core, 0.0, 1.0, weight="alg",
-                                wvar=(ai - 1.0, m - 1.0),
-                                epsabs=1e-13, epsrel=1e-11, limit=400)
-        return val / math.exp(special.betaln(ai, m))
+        """P(X_i > x), the survival of the law of ``_law(a_i)``."""
+        if x <= 0 or x == math.inf:
+            return float(x <= 0)
+        return float(self._law(self.a[i])[1](x))
 
     def marginal_cdf(self, i: int, x: float) -> float:
+        """P(X_i <= x), computed directly rather than as 1 - survival, so that
+        small values keep their relative accuracy: ``betainc``/``gammainc``
+        for the closed drivers, a quadrature of the density for GenericRV
+        (for x > 1 there, one minus the directly integrated survival)."""
         self._check_margin(i)
         if x < 0:
             raise ValueError("x must be non-negative")
-        if x == 0:
-            return 0.0
-        return min(max(1.0 - self._marginal_survival(i, x), 0.0), 1.0)
+        if x == 0 or x == math.inf:
+            return float(x > 0)
+        return float(self._law(self.a[i])[0](x))
 
     def marginal_quantile(self, i: int, q: float) -> float:
+        """Inverse of ``marginal_cdf`` by the two-sided rule of ``_quantile``:
+        the CDF side for q <= 1/2, the survival side 1 - q above. Cached per
+        (a_i, q)."""
         self._check_margin(i)
         if not 0.0 < q < 1.0:
             raise ValueError(f"q must lie in (0, 1), got {q}")
-        return self._marginal_quantile_cached(i, float(q))
-
-    def _marginal_quantile_impl(self, i: int, q: float) -> float:
-        """The closed inverse for the closed drivers, inverting the CDF for
-        q <= 1/2 and the survival above, so that neither tail cancels;
-        GenericRV roots survival(x) = 1 - q by brentq."""
-        ai = self.a[i]
-        if isinstance(self.g, InvertedDirichlet):
-            b = self.g.theta - self.total_shape
-            if q <= 0.5:
-                y = special.betaincinv(ai, b, q)
-                return float(y / (1.0 - y))
-            z = special.betaincinv(b, ai, 1.0 - q)
-            return float((1.0 - z) / z)
-        if isinstance(self.g, Rapid):
-            if q <= 0.5:
-                return float(special.gammaincinv(ai, q))
-            return float(special.gammainccinv(ai, 1.0 - q))
-        s = 1.0 - q  # solve survival(x) = s; survival is decreasing
-        lo, hi = 1.0, 1.0
-        while self._marginal_survival(i, hi) > s:
-            hi *= 8.0
-            if hi > 1e300:
-                raise RuntimeError("marginal quantile bracket exhausted")
-        while self._marginal_survival(i, lo) < s:
-            lo /= 8.0
-            if lo < 1e-300:
-                raise RuntimeError("marginal quantile bracket exhausted")
-        return optimize.brentq(
-            lambda x: self._marginal_survival(i, x) - s,
-            lo, hi, xtol=1e-14, rtol=1e-15)
+        return self._marginal_quantile_cached(self.a[i], float(q))
 
     def _check_margin(self, i: int):
         if not 0 <= i < self.dim:
@@ -467,3 +448,20 @@ class LiouvilleParams:
     def _check_exponent(self, E: DiagExponent):
         if E.dim != self.dim:
             raise ValueError("exponent dimension mismatch")
+
+
+def _root(h, y: float) -> float:
+    """x > 0 with h(x) = y for an increasing h: a bracket stepped out from
+    x = 1 by factors of 8, then brentq to a relative tolerance."""
+    f = lambda x: h(x) - y
+    x, fx = 1.0, f(1.0)
+    step = 8.0 if fx < 0 else 0.125
+    while True:
+        x_next = x * step
+        f_next = f(x_next)
+        if (f_next < 0) != (fx < 0):
+            break
+        if not 1e-300 < x_next < 1e300:
+            raise RuntimeError("quantile bracket exhausted")
+        x, fx = x_next, f_next
+    return optimize.brentq(f, min(x, x_next), max(x, x_next), xtol=1e-300, rtol=1e-12)

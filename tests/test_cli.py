@@ -92,8 +92,14 @@ class TestEval:
         ({"grid": {"start": None}}, "'grid.start'"),
         ({"grid": {"stop": [1]}}, "'grid.stop'"),
         ({"grid": {"start": "x"}}, "'grid.start'"),
+        ({"points": [[-1.0, 1.0]]}, "'points'"),
+        ({"evaluator": "liouville_copula_tail_density", "points": [[-1.0, 1.0]]},
+         "'points'"),
+        ({"evaluator": "copula_density", "points": [[1.5, 0.5]]}, "'points'"),
+        ({"evaluator": "exponent_function", "points": [[0.0, 0.0]]}, "'points'"),
     ], ids=["non-numeric", "string", "ragged", "empty", "num-x", "num-0", "num-2.5",
-            "margin-5", "grid-list", "start-null", "stop-list", "start-x"])
+            "margin-5", "grid-list", "start-null", "stop-list", "start-x",
+            "joint-negative", "tail-negative", "copula-outside", "exponent-zero"])
     def test_bad_input_exit_2(self, tmp_path, capsys, task, field):
         cfg = {"distribution": TESTBED, "task": {"evaluator": "joint_density", **task}}
         rc = main(["eval", "--config", write_config(tmp_path, cfg),
@@ -241,6 +247,15 @@ class TestVerify:
                    "--out", str(tmp_path)])
         assert rc == 2
         assert "foo" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("params", ["x", ["x"]], ids=["string", "list"])
+    def test_params_not_object_exit_2(self, tmp_path, capsys, params):
+        cfg = {"task": {"suite": "quasihom", "params": params}}
+        rc = main(["verify", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "'params'" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
     def test_unknown_suite_exit_2(self, tmp_path, capsys):

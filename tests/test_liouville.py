@@ -401,6 +401,33 @@ class TestClosedMargins:
         with pytest.raises(ValueError, match="diverges"):
             pid.weyl_integral(m, 1.0)
 
+    # q = 1 - 2**-53 is the sampler's upper clip bound
+    UPPER_QS = [1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 1e-13, 1.0 - 2.0 ** -53]
+
+    @pytest.mark.parametrize("q", UPPER_QS, ids=["1e-9", "1e-12", "1e-13", "2^-53"])
+    def test_radial_quantile_upper_tail(self, q):
+        # R ~ BetaPrime(3, 1) and Gamma(3), checked on the survival side
+        pid = LiouvilleParams([1.0, 1.0, 1.0], InvertedDirichlet(4.0))
+        prapid = LiouvilleParams([1.0, 1.0, 1.0], Rapid())
+        r = pid.radial_quantile(q)
+        assert math.isfinite(r)
+        assert betainc(1.0, 3.0, 1 / (1 + r)) == rel12(1 - q)
+        r = prapid.radial_quantile(q)
+        assert math.isfinite(r)
+        assert gammaincc(3.0, r) == rel12(1 - q)
+
+    @pytest.mark.parametrize("x", [1e-5, 1e-8])
+    def test_small_cdf_is_direct(self, x):
+        # margin 2 is BetaPrime(2, 2); 1 - survival keeps only absolute accuracy
+        p = LiouvilleParams([0.5, 1.5, 2.0], InvertedDirichlet(6.0))
+        assert p.marginal_cdf(2, x) == rel12(betainc(2.0, 2.0, x / (1 + x)))
+
+    def test_cdf_at_the_ends(self, pid, prapid):
+        for p in (pid, prapid):
+            assert p.marginal_cdf(0, 0.0) == 0.0
+            assert p.marginal_cdf(0, math.inf) == 1.0
+            assert p._marginal_survival(0, math.inf) == 0.0
+
     def test_d1_margin_is_radial_law(self):
         # d = 1: BetaPrime(A, theta - A) = the radial law
         p = LiouvilleParams([1.5], InvertedDirichlet(4.0))
@@ -438,6 +465,14 @@ class TestGenericRVQuadRoute:
     def test_deep_tail_survival(self, pg, x):
         # the closed survival is 1/(1+x); 1 - CDF would keep only absolute accuracy
         assert pg._marginal_survival(0, x) == rel12(1 / (1 + x))
+
+    @pytest.mark.parametrize("x", [1e-4, 1e-8, 1e-12])
+    def test_small_cdf(self, pg, x):
+        assert pg.marginal_cdf(0, x) == pytest.approx(x / (1 + x), rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("q", [1e-9, 1e-12])
+    def test_small_quantile(self, pg, q):
+        assert pg.marginal_quantile(0, q) == pytest.approx(q / (1 - q), rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("q", [1e-12, 1e-14, 1e-16])
     def test_small_radial_quantile(self, pg, q):
