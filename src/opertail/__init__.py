@@ -15,8 +15,7 @@ from .exponent import (DivergentIntegralError, IntensityResult,
 from .liouville import (DrivingFunction, GenericRV, IntegrabilityError,
                         InvertedDirichlet, LiouvilleParams,
                         NotOperatorRegularlyVarying, Rapid, driving_from_dict)
-from .opscale import (DiagExponent, ScalingFunction, gauge, gauge_decompose,
-                      matrix_exponential, power_matrix, scale_vector)
+from .opscale import DiagExponent, gauge, gauge_decompose, power_matrix
 from .regvar import (DefectDiagnostics, RVSpec, TailIndexEstimate, at_zero,
                      eval_rv, hill_estimate, karamata_defect,
                      ratio_limit_defect)

@@ -164,7 +164,7 @@ def copula_density(p: LiouvilleParams, u) -> float:
     """c(u) = f(F_1^{-1}(u_1), ..) / prod f_i(F_i^{-1}(u_i)).
 
     Quantiles and marginal densities come from the exact Liouville marginal
-    law (beta-prime or gamma; Weyl and radial quadrature for GenericRV), so
+    law (beta-prime or gamma; quadratures of the radial law for GenericRV), so
     this route is independent of the closed tail-density forms it is
     checked against.
     """
@@ -260,14 +260,16 @@ def copula_tail_to_density(lam_c: Callable[[np.ndarray], float],
 # ---------------------------------------------------------------------------
 # finite-u empirical estimation
 
+# the last two estimates agree to this relative step: "converged"
+_CONVERGE_TOL = 0.005
+
 def empirical_tail_density(c: Callable[[np.ndarray], float],
                            r: Sequence[Callable[[float], float]],
                            ell: Callable[[float], float],
                            kappa: TailOrder,
                            w,
                            u_grid: Sequence[float],
-                           side: str = "upper",
-                           converge_tol: float = 0.005) -> EmpiricalTailEstimate:
+                           side: str = "upper") -> EmpiricalTailEstimate:
     """Estimate the tail density of the copula density evaluator ``c`` at w.
 
     Upper side evaluates c(1 - r_i(u) w_i, ...); lower side (survival-copula
@@ -299,7 +301,7 @@ def empirical_tail_density(c: Callable[[np.ndarray], float],
         slopes = np.diff(np.log(np.abs(estimates) + 1e-300)) / np.diff(np.log(u_grid))
     if np.all(np.abs(slopes[-2:]) > 0.1):
         verdict = "tail order mismatch"
-    elif abs(e2 - e1) <= converge_tol * abs(limit):
+    elif abs(e2 - e1) <= _CONVERGE_TOL * abs(limit):
         verdict = "converged"
     else:
         verdict = "not converged"
@@ -336,11 +338,14 @@ def group_invariance_defect(lam: TailDensityForm, t: float, x) -> float:
     return abs(scaled - t ** (-lam.rho - lamv.sum()) * base) / base
 
 
+# the last ratio is within this of 1: "compatible"
+_COMPAT_TOL = 1e-2
+
+
 def compatibility_defect(r: Callable[[float], float],
                          survival: Callable[[float], float],
                          rho_i: float, alpha_i: float,
-                         t_grid: Sequence[float],
-                         tol: float = 1e-2) -> CompatibilityResult:
+                         t_grid: Sequence[float]) -> CompatibilityResult:
     """Check r(1/t) ~ 1 - F(t^{rho_i/alpha_i}) along t_grid.
 
     The tilde relation requires the ratio to tend to 1; a finite limit
@@ -353,9 +358,9 @@ def compatibility_defect(r: Callable[[float], float],
     for j, t in enumerate(t_grid):
         ratios[j] = float(r(1.0 / t)) / float(survival(t ** (rho_i / alpha_i)))
     defects = np.abs(ratios - 1.0)
-    if defects[-1] < tol:
+    if defects[-1] < _COMPAT_TOL:
         verdict = "compatible"
-    elif (math.isfinite(ratios[-1]) and abs(ratios[-1]) > tol
+    elif (math.isfinite(ratios[-1]) and abs(ratios[-1]) > _COMPAT_TOL
           and abs(ratios[-1] - ratios[-2]) <= 1e-3 * abs(ratios[-1])):
         verdict = f"incompatible (constant {ratios[-1]:g} != 1)"
     else:

@@ -200,22 +200,20 @@ def intensity_measure(form: TailDensityForm, region: Region,
 
 
 def exponent_function(form: TailDensityForm, w,
-                      rho: Optional[TailOrder] = None,
-                      epsabs: float = 1e-10, epsrel: float = 1e-8) -> float:
+                      rho: Optional[TailOrder] = None) -> float:
     """a_C(w) = Lambda(lower strips at w) for a copula-frame tail density."""
     w = np.asarray(w, dtype=float)
     if np.all(w == 0):
         raise ValueError("some w_i must be positive")
     if rho is not None and form.kappa is not None and tuple(rho.kappa) != tuple(form.kappa):
         raise ValueError("tail order disagrees with the form's kappa")
-    res = intensity_measure(form, Region.lower_union(w), epsabs=epsabs, epsrel=epsrel)
+    res = intensity_measure(form, Region.lower_union(w))
     if res.verdict != "finite":
         raise DivergentIntegralError("exponent integral divergent")
     return float(res.value)
 
 
 def exponent_mixed_derivative_defect(form: TailDensityForm, w,
-                                     rho: Optional[TailOrder] = None,
                                      h: float = 0.05) -> MixedDerivativeResult:
     """d-th mixed central difference of a_C versus the tail density at w.
 

@@ -14,8 +14,8 @@ of the radial part R (density proportional to t^{A-1} g(t), A = sum a_i)
 drives the sampler. R and every margin X_i belong to one law family per
 driver, indexed by a shape s (s = A for R, s = a_i for X_i): BetaPrime(s,
 theta - A) for the inverted Dirichlet and Gamma(s) for ``Rapid``, closed;
-for ``GenericRV`` quadratures of the Weyl-integral density and of the
-radial survival. ``LiouvilleParams._law(s)`` gives that law's CDF,
+for ``GenericRV`` flat quadratures of the radial law against the Beta(s,
+A - s) law of D_i. ``LiouvilleParams._law(s)`` gives that law's CDF,
 survival, quantile and inverse survival, and every quantile follows one
 two-sided rule: the CDF is inverted for q <= 1/2 and the survival 1 - q
 above, so that neither tail cancels.
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Sequence, Union
 
 import numpy as np
@@ -139,7 +139,6 @@ class LiouvilleParams:
                   - sum(special.gammaln(v) for v in a)
                   - math.log(self.radial_norm))
         self.norm_const = math.exp(log_cf)
-        self._marginal_quantile_cached = lru_cache(maxsize=4096)(self._quantile)
 
     def _radial_norm(self) -> float:
         A = self.total_shape
@@ -205,17 +204,19 @@ class LiouvilleParams:
     def radial_cdf(self, r) -> float:
         """CDF of the radial part R, density proportional to t^{A-1} g(t)."""
         r = np.asarray(r, dtype=float)
-        if np.any(r <= 0):
+        if not np.all(r > 0):
             raise ValueError("radial_cdf requires r > 0")
-        out = self._law(self.total_shape)[0](r)
-        return float(out) if np.ndim(out) == 0 else out
+        fin = np.isfinite(r)
+        out = np.ones(r.shape)  # 1 at r = inf
+        out[fin] = self._law(self.total_shape)[0](r[fin])
+        return float(out) if out.ndim == 0 else out
 
     def radial_quantile(self, q) -> float:
         """Inverse radial CDF by the two-sided rule of ``_quantile``: closed
         for the closed drivers, a root of the quadrature CDF or survival for
         GenericRV."""
         q = np.asarray(q, dtype=float)
-        if np.any((q <= 0) | (q >= 1)):
+        if not np.all((q > 0) & (q < 1)):
             raise ValueError("radial_quantile requires q in (0, 1)")
         return self._quantile(self.total_shape, q)
 
@@ -250,33 +251,30 @@ class LiouvilleParams:
 
     def _quad_sides(self, s: float):
         """Scalar (cdf, sf) of the GenericRV law with shape s, each integrated
-        directly on its own side of x = 1 and one minus the other beyond it.
-        The CDF is kappa_s * int_0^x W^{A-s} g(t) t^{s-1} dt with the power as
-        quad's algebraic weight; the survival of R is S(r) = r^A int_0^1
-        u^{-A-1} g(r/u) du / N (t = r/u), and that of X_i is the mean of S(x/v)
-        over the Beta(s, A - s) law of D_i in X_i = R * D_i."""
+        on its own side of x = 1 and one minus the other beyond it. X = R * D,
+        D ~ Beta(s, m), m = A - s, independent of R (density u^{A-1} g(u) / N):
+        P(X <= x) = P(R <= x) + E[betainc(s, m, x/R); R > x] and P(X > x) =
+        E[betaincc(s, m, x/R); R > x]; for R (m = 0, D = 1) these are 0 and 1.
+        CDF side: (0, x] with u^{A-1} as quad's weight, (x, 1] in ln u, (1, inf)
+        in 1/u; survival side: u = x/v, v in (0, 1)."""
         A, m = self.total_shape, self.total_shape - s
-        kappa = self._shape_norm(s)
-        w = (lambda t: float(self.g(t))) if m == 0 else partial(self.weyl_integral, m)
+        kappa, g = self._shape_norm(A), lambda u: float(self.g(u))
+        quad = partial(integrate.quad, epsabs=0.0, epsrel=1e-11, limit=400)
+        cdf_d = partial(special.betainc, s, m)
+        sf_d = (lambda v: 1.0) if m == 0 else partial(special.betaincc, s, m)
 
         def low(x):
-            val, _ = integrate.quad(w, 0.0, x, weight="alg", wvar=(s - 1.0, 0.0),
-                                    epsabs=0.0, epsrel=1e-11, limit=400)
+            val = quad(g, 0.0, x, weight="alg", wvar=(A - 1.0, 0.0))[0]
+            if m > 0:
+                val += quad(lambda t: cdf_d(x * math.exp(-t)) * math.exp(A * t)
+                            * g(math.exp(t)), math.log(x), 0.0)[0]
+                val += quad(lambda v: cdf_d(x * v) * v ** (-A - 1) * g(1.0 / v),
+                            0.0, 1.0)[0]
             return min(kappa * val, 1.0)
 
-        if m == 0:
-            def high(r):
-                val, _ = integrate.quad(lambda u: u ** (-A - 1) * float(self.g(r / u)),
-                                        0.0, 1.0, epsabs=0.0, epsrel=1e-11, limit=400)
-                return r ** A * val / self.radial_norm
-        else:
-            radial_sf = self._quad_sides(A)[1]
-
-            def high(x):  # x/v -> inf as v -> 0, where the survival vanishes
-                val, _ = integrate.quad(lambda v: radial_sf(x / v) if v > 0 else 0.0,
-                                        0.0, 1.0, weight="alg", wvar=(s - 1.0, m - 1.0),
-                                        epsabs=1e-13, epsrel=1e-11, limit=400)
-                return val / math.exp(special.betaln(s, m))
+        def high(x):
+            val = quad(lambda v: v ** (-A - 1) * g(x / v) * sf_d(v), 0.0, 1.0)[0]
+            return x ** A * val / self.radial_norm
 
         return (lambda x: low(x) if x <= 1.0 else 1.0 - high(x),
                 lambda x: high(x) if x > 1.0 else 1.0 - low(x))
@@ -368,7 +366,7 @@ class LiouvilleParams:
         the BetaPrime(a_i, theta - A) or Gamma(a_i) density for the closed
         drivers, through the closed ``weyl_integral``."""
         self._check_margin(i)
-        if x < 0:
+        if not x >= 0:
             raise ValueError("x must be non-negative")
         ai = self.a[i]
         if x == 0:
@@ -382,6 +380,8 @@ class LiouvilleParams:
 
     def _marginal_survival(self, i: int, x: float) -> float:
         """P(X_i > x), the survival of the law of ``_law(a_i)``."""
+        if math.isnan(x):
+            raise ValueError("x must be a number")
         if x <= 0 or x == math.inf:
             return float(x <= 0)
         return float(self._law(self.a[i])[1](x))
@@ -389,10 +389,10 @@ class LiouvilleParams:
     def marginal_cdf(self, i: int, x: float) -> float:
         """P(X_i <= x), computed directly rather than as 1 - survival, so that
         small values keep their relative accuracy: ``betainc``/``gammainc``
-        for the closed drivers, a quadrature of the density for GenericRV
-        (for x > 1 there, one minus the directly integrated survival)."""
+        for the closed drivers, for GenericRV the mean over R of the Beta CDF
+        of x/R (for x > 1 there, one minus the directly integrated survival)."""
         self._check_margin(i)
-        if x < 0:
+        if not x >= 0:
             raise ValueError("x must be non-negative")
         if x == 0 or x == math.inf:
             return float(x > 0)
@@ -400,12 +400,11 @@ class LiouvilleParams:
 
     def marginal_quantile(self, i: int, q: float) -> float:
         """Inverse of ``marginal_cdf`` by the two-sided rule of ``_quantile``:
-        the CDF side for q <= 1/2, the survival side 1 - q above. Cached per
-        (a_i, q)."""
+        the CDF side for q <= 1/2, the survival side 1 - q above."""
         self._check_margin(i)
         if not 0.0 < q < 1.0:
             raise ValueError(f"q must lie in (0, 1), got {q}")
-        return self._marginal_quantile_cached(self.a[i], float(q))
+        return self._quantile(self.a[i], float(q))
 
     def _check_margin(self, i: int):
         if not 0 <= i < self.dim:

@@ -1,4 +1,4 @@
-"""Power matrices, diagonal operator scaling, and the quasi-homogeneous gauge.
+"""Diagonal operator exponents, power matrices t^E, and the quasi-homogeneous gauge.
 
 Diagonal exponents are the load-bearing case: every closed form downstream
 assumes E = DIAG(lambda_i) with lambda_i > 0. General square matrices are
@@ -9,13 +9,11 @@ scaling-and-squaring matrix exponential).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg import expm
-
-from .regvar import RVSpec, eval_rv
 
 
 @dataclass(frozen=True)
@@ -63,63 +61,19 @@ class DiagExponent:
         return cls(d["eigenvalues"])
 
 
-@dataclass(frozen=True)
-class ScalingFunction:
-    """g(t) = t^E L(t), L(t) = DIAG(ell_i(t)) with slowly varying entries."""
-
-    exponent: DiagExponent
-    slow_factors: tuple = ()
-
-    def __post_init__(self):
-        factors = tuple(self.slow_factors) if self.slow_factors else tuple(
-            RVSpec() for _ in range(self.exponent.dim))
-        if len(factors) != self.exponent.dim:
-            raise ValueError("need one slow factor per eigenvalue")
-        for f in factors:
-            if f.rho != 0:
-                raise ValueError("slow factors must be slowly varying (rho = 0)")
-        object.__setattr__(self, "slow_factors", factors)
-
-    def to_dict(self) -> dict:
-        return {"exponent": self.exponent.to_dict(),
-                "slow_factors": [f.to_dict() for f in self.slow_factors]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScalingFunction":
-        return cls(DiagExponent.from_dict(d["exponent"]),
-                   tuple(RVSpec.from_dict(f) for f in d.get("slow_factors", [])))
-
-
-def matrix_exponential(M: np.ndarray) -> np.ndarray:
-    """exp(M) = sum_k M^k / k! by scaling-and-squaring."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix entries must be finite")
-    return expm(M)
-
-
 def power_matrix(E, t: float) -> np.ndarray:
-    """t^E = exp(E log t); diagonal exponents get the exact entrywise form."""
+    """t^E = exp(E log t); diagonal exponents get the exact entrywise form,
+    any other square matrix scipy's scaling-and-squaring ``expm``."""
     if t <= 0:
         raise ValueError(f"power_matrix requires t > 0, got {t}")
     if isinstance(E, DiagExponent):
         return np.diag(float(t) ** E.as_array())
-    return matrix_exponential(np.asarray(E, dtype=float) * math.log(t))
-
-
-def scale_vector(g: ScalingFunction, t: float, x: Sequence[float]) -> np.ndarray:
-    """Apply g(t) = t^E L(t) componentwise: x_i -> t^{lambda_i} ell_i(t) x_i."""
-    if t <= 0:
-        raise ValueError(f"scale_vector requires t > 0, got {t}")
-    x = np.asarray(x, dtype=float)
-    lam = g.exponent.as_array()
-    if x.shape[-1] != len(lam):
-        raise ValueError(f"dimension mismatch: x has {x.shape[-1]} entries, "
-                         f"exponent has {len(lam)}")
-    ell = np.array([eval_rv(f, t) for f in g.slow_factors])
-    return float(t) ** lam * ell * x
+    E = np.asarray(E, dtype=float)
+    if E.ndim != 2 or E.shape[0] != E.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {E.shape}")
+    if not np.all(np.isfinite(E)):
+        raise ValueError("matrix entries must be finite")
+    return expm(E * math.log(t))
 
 
 def gauge(E: DiagExponent, x: Sequence[float]) -> float:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate, stats
-from scipy.special import betainc, betaln, gammainc, gammaincc
+from scipy.special import betainc, betaincc, betaln, gammainc, gammaincc
 
 from opertail import (DiagExponent, GenericRV, IntegrabilityError,
                       InvertedDirichlet, LiouvilleParams,
@@ -173,6 +173,29 @@ class TestRadialPart:
             p2.radial_cdf(0.0)
         with pytest.raises(ValueError):
             p2.radial_quantile(1.0)
+
+
+class TestInputDomain:
+    """NaN is outside every domain; r = inf is inside the radial CDF's."""
+
+    NAN_CALLS = {"radial_cdf": lambda p: p.radial_cdf(math.nan),
+                 "radial_quantile": lambda p: p.radial_quantile([0.5, math.nan]),
+                 "marginal_cdf": lambda p: p.marginal_cdf(0, math.nan),
+                 "marginal_density": lambda p: p.marginal_density(0, math.nan),
+                 "marginal_survival": lambda p: p._marginal_survival(0, math.nan)}
+
+    @pytest.mark.parametrize("call", NAN_CALLS.values(), ids=NAN_CALLS.keys())
+    def test_nan_rejected(self, p2, call):
+        with pytest.raises(ValueError):
+            call(p2)
+
+    @pytest.mark.parametrize("g", [InvertedDirichlet(3.0), GenericRV(3.0, 1.0), Rapid()],
+                             ids=["inverted_dirichlet", "generic_rv", "rapid"])
+    def test_radial_cdf_at_infinity(self, g):
+        p = LiouvilleParams([1.0, 1.0], g)
+        assert p.radial_cdf(math.inf) == 1.0
+        got = p.radial_cdf([0.5, math.inf])
+        assert got[1] == 1.0 and got[0] == p.radial_cdf(0.5)
 
 
 class TestSampling:
@@ -479,3 +502,36 @@ class TestGenericRVQuadRoute:
         # CDF (r/(1+r))^2 inverts to sqrt(q)/(1 - sqrt(q))
         s = math.sqrt(q)
         assert pg.radial_quantile(q) == rel12(s / (1 - s))
+
+
+class TestGenericRVBetaMixing:
+    """GenericRV(2, 0) with a = (0.3, 0.4) is the inverted Dirichlet with
+    margins BetaPrime(a_i, 1.3), here reached by averaging the Beta(a_i,
+    A - a_i) CDF over the radial law; shapes below 1 make the mixing
+    integrands singular at both ends."""
+
+    XS = [1e-12, 1e-8, 1e-4, 0.3, 3.0, 1e4, 1e8, 1e12]
+
+    @pytest.fixture(scope="class")
+    def pg(self):
+        return LiouvilleParams([0.3, 0.4], GenericRV(2.0, 0.0))
+
+    @pytest.mark.parametrize("i", [0, 1])
+    @pytest.mark.parametrize("x", XS)
+    def test_cdf(self, pg, i, x):
+        b = 2.0 - pg.total_shape
+        assert pg.marginal_cdf(i, x) == rel12(betainc(pg.a[i], b, x / (1 + x)))
+
+    @pytest.mark.parametrize("i", [0, 1])
+    @pytest.mark.parametrize("x", XS)
+    def test_survival(self, pg, i, x):
+        # betainc(b, s, 1/(1+x)) rounds at tiny x, betaincc cancels at huge x
+        s, b = pg.a[i], 2.0 - pg.total_shape
+        want = betaincc(s, b, x / (1 + x)) if x < 1 else betainc(b, s, 1 / (1 + x))
+        assert pg._marginal_survival(i, x) == rel12(want)
+
+    @pytest.mark.parametrize("i", [0, 1])
+    @pytest.mark.parametrize("q", [1e-9, 0.1, 0.9])
+    def test_quantile_roundtrip(self, i, q):
+        p = LiouvilleParams([0.5, 1.5], GenericRV(3.0, 1.0))
+        assert p.marginal_cdf(i, p.marginal_quantile(i, q)) == rel12(q)

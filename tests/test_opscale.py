@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from opertail import (DiagExponent, RVSpec, ScalingFunction, gauge,
-                      gauge_decompose, matrix_exponential, power_matrix,
-                      scale_vector)
+from opertail import DiagExponent, gauge, gauge_decompose, power_matrix
 
 
 def series_expm(m, terms=60):
@@ -33,27 +31,29 @@ class TestDiagExponent:
 
 
 class TestMatrixExponential:
+    """power_matrix(m, e) = exp(m) for a general square matrix m."""
+
     def test_zero_matrix(self):
-        np.testing.assert_allclose(matrix_exponential(np.zeros((3, 3))), np.eye(3))
+        np.testing.assert_allclose(power_matrix(np.zeros((3, 3)), math.e), np.eye(3))
 
     def test_diagonal(self):
-        got = matrix_exponential(np.diag([1.0, 2.0]))
+        got = power_matrix(np.diag([1.0, 2.0]), math.e)
         np.testing.assert_allclose(got, np.diag([math.e, math.e ** 2]), rtol=1e-12)
 
     def test_nilpotent_vs_series_oracle(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
-        np.testing.assert_allclose(matrix_exponential(m), series_expm(m), rtol=1e-12)
-        np.testing.assert_allclose(matrix_exponential(m),
+        np.testing.assert_allclose(power_matrix(m, math.e), series_expm(m), rtol=1e-12)
+        np.testing.assert_allclose(power_matrix(m, math.e),
                                    [[1.0, 1.0], [0.0, 1.0]], rtol=1e-12)
 
     def test_general_vs_series_oracle(self):
         rng = np.random.default_rng(3)
         m = rng.normal(size=(4, 4)) * 0.7
-        np.testing.assert_allclose(matrix_exponential(m), series_expm(m), rtol=1e-12)
+        np.testing.assert_allclose(power_matrix(m, math.e), series_expm(m), rtol=1e-12)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            matrix_exponential(np.ones((2, 3)))
+            power_matrix(np.ones((2, 3)), math.e)
 
 
 class TestPowerMatrix:
@@ -90,27 +90,6 @@ class TestPowerMatrix:
             np.testing.assert_allclose(power_matrix(e, 1.0 / t),
                                        np.linalg.inv(power_matrix(e, t)),
                                        rtol=1e-12)
-
-
-class TestScaleVector:
-    def test_pure_power(self):
-        g = ScalingFunction(DiagExponent([1.0, 2.0]))
-        np.testing.assert_allclose(scale_vector(g, 10.0, [1.0, 1.0]), [10.0, 100.0])
-
-    def test_log_slow_factor(self):
-        g = ScalingFunction(DiagExponent([1.0, 1.0]),
-                            (RVSpec(gamma=1.0), RVSpec(gamma=1.0)))
-        got = scale_vector(g, math.e, [1.0, 0.0])
-        np.testing.assert_allclose(got, [math.e * math.log(2 * math.e), 0.0])
-
-    def test_dimension_mismatch(self):
-        g = ScalingFunction(DiagExponent([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            scale_vector(g, 2.0, [1.0, 1.0, 1.0])
-
-    def test_rejects_fast_factor(self):
-        with pytest.raises(ValueError):
-            ScalingFunction(DiagExponent([1.0]), (RVSpec(rho=0.5),))
 
 
 class TestGauge:
@@ -163,7 +142,3 @@ class TestGaugeDecompose:
         with pytest.raises(ValueError):
             gauge_decompose(DiagExponent([1.0]), [0.0])
 
-
-def test_serialization_roundtrip():
-    g = ScalingFunction(DiagExponent([1.0, 2.0]), (RVSpec(2.0, 0.0, 1.0), RVSpec()))
-    assert ScalingFunction.from_dict(g.to_dict()) == g

@@ -30,3 +30,14 @@ def test_suite_collects_without_pythonpath():
          "-p", "no:cacheprovider", "tests/test_cli.py"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_benchmark_tracing_installs():
+    # perfbench/tracing.py wraps opertail functions by name and fails on a
+    # name that is gone; a fresh interpreter keeps the wrappers out of this one
+    code = ("import sys; sys.path[:0] = ['src', 'perfbench']\n"
+            "import opertail, opertail.cli, opertail.verify, opertail.kernels, tracing\n"
+            "tracing.install(tracing.Tracer(), opertail)\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
