@@ -43,10 +43,6 @@ class TailOrder:
         object.__setattr__(self, "kappa", kap)
 
     @property
-    def dim(self):
-        return len(self.kappa)
-
-    @property
     def total(self):
         return float(sum(self.kappa))
 
@@ -160,24 +156,27 @@ class CompatibilityResult:
 # ---------------------------------------------------------------------------
 # copula density of a Liouville distribution
 
-def copula_density(p: LiouvilleParams, u) -> float:
-    """c(u) = f(F_1^{-1}(u_1), ..) / prod f_i(F_i^{-1}(u_i)).
+def copula_density(p: LiouvilleParams, u):
+    """c(u) = f(F_1^{-1}(u_1), ..) / prod f_i(F_i^{-1}(u_i)) at one point
+    ``(d,)``, as a float, or at each point of a batch ``(..., d)``, as an array.
 
-    Quantiles and marginal densities come from the exact Liouville marginal
-    law (beta-prime or gamma; quadratures of the radial law for GenericRV), so
-    this route is independent of the closed tail-density forms it is
-    checked against.
+    Quantiles and marginal densities, one call per column, come from the exact
+    Liouville marginal law (beta-prime or gamma; radial-law quadratures for
+    GenericRV), so this route is independent of the closed forms it checks.
     """
     u = np.asarray(u, dtype=float)
-    if u.ndim != 1 or u.shape[0] != p.dim:
+    if u.shape[-1:] != (p.dim,):
         raise ValueError("dimension mismatch")
     if np.any((u <= 0) | (u >= 1)):
         raise ValueError("copula density requires u in the open unit cube")
     if p.dim == 1:
-        return 1.0
-    x = np.array([p.marginal_quantile(i, ui) for i, ui in enumerate(u)])
-    denom = math.prod(p.marginal_density(i, xi) for i, xi in enumerate(x))
-    return p.joint_density(x) / denom
+        return 1.0 if u.ndim == 1 else np.ones(u.shape[:-1])
+    x, dens = np.empty(u.shape), np.empty(u.shape)
+    for i in range(p.dim):
+        x[..., i] = p.marginal_quantile(i, u[..., i])
+        dens[..., i] = p.marginal_density(i, x[..., i])
+    out = p.joint_density(x) / dens.prod(axis=-1)
+    return float(out) if u.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +204,14 @@ def liouville_limit_form(p: LiouvilleParams, E: DiagExponent) -> TailDensityForm
 
 
 def liouville_copula_tail_form(p: LiouvilleParams, E: DiagExponent) -> TailDensityForm:
-    """Copula-frame closed form with tail order (1, ..., 1)."""
+    """Copula-frame closed form with tail order (1, ..., 1).
+
+    Its coordinates w_i = x_i^{-alpha_i} set the margins' tail constants to 1,
+    so for E = I it is the copula's upper tail density relative to r_i(u) =
+    c_i u and ell = 1 / prod c_i, c_i = lim x^alpha P(X_i > x) (1 / (alpha
+    B(a_i, alpha)) for the inverted Dirichlet): not relative to r_i(u) = u
+    unless every c_i = 1, as at a = (1, 1), theta = 3.
+    """
     beta = p.rv_beta()
     alphas = _liouville_alphas(p, E)
     idx = E.argmax_set
@@ -227,24 +233,26 @@ def liouville_marginal_frame(p: LiouvilleParams, E: DiagExponent) -> MarginalFra
 # Jacobian transforms between frames
 
 def density_to_copula_tail(lam: Callable[[np.ndarray], float],
-                           frame: MarginalFrame, w) -> float:
+                           frame: MarginalFrame, w):
     """Original-frame limit -> copula-frame tail density at w, through the
     homeomorphic transform y_i = w_i^{-alpha_i}:
 
         lambda_C(w) = lambda(w^{-1/alpha}) * prod alpha_i^{-1} w_i^{-(alpha_i+1)/alpha_i}.
+
+    ``lam`` takes one point ``(d,)``, giving a float, or a batch ``(..., d)``.
     """
     w = np.asarray(w, dtype=float)
     if np.any(w <= 0):
         raise ValueError("w must be strictly positive")
     al = np.asarray(frame.alphas)
-    x = w ** (-1.0 / al)
-    jac = float(np.prod(w ** (-(al + 1.0) / al) / al))
-    return float(lam(x)) * jac
+    out = lam(w ** (-1.0 / al)) * (w ** (-(al + 1.0) / al) / al).prod(axis=-1)
+    return float(out) if w.ndim == 1 else out
 
 
 def copula_tail_to_density(lam_c: Callable[[np.ndarray], float],
-                           frame: MarginalFrame, x) -> float:
-    """Copula-frame tail density -> original-frame limit at x:
+                           frame: MarginalFrame, x):
+    """Copula-frame tail density -> original-frame limit at x, one point or a
+    batch as ``density_to_copula_tail``:
 
         lambda(x) = lambda_C(x^{-alpha}) * prod alpha_i x_i^{-alpha_i - 1}.
     """
@@ -252,9 +260,8 @@ def copula_tail_to_density(lam_c: Callable[[np.ndarray], float],
     if np.any(x <= 0):
         raise ValueError("x must be strictly positive")
     al = np.asarray(frame.alphas)
-    w = x ** (-al)
-    jac = float(np.prod(al * x ** (-al - 1.0)))
-    return float(lam_c(w)) * jac
+    out = lam_c(x ** (-al)) * (al * x ** (-al - 1.0)).prod(axis=-1)
+    return float(out) if x.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +282,8 @@ def empirical_tail_density(c: Callable[[np.ndarray], float],
     Upper side evaluates c(1 - r_i(u) w_i, ...); lower side (survival-copula
     orientation) evaluates c(r_i(u) w_i, ...). Estimates are divided by
     u^{1 - sum kappa_i} ell(u) and extrapolated with one first-order
-    Richardson step on the two smallest u values.
+    Richardson step on the two smallest u values. ``r_i`` and ``ell`` are
+    called once on the u-grid ``(m,)``, and ``c`` once on the ``(m, d)`` batch.
     """
     if side not in ("upper", "lower"):
         raise ValueError("side must be 'upper' or 'lower'")
@@ -285,14 +293,12 @@ def empirical_tail_density(c: Callable[[np.ndarray], float],
         raise ValueError("u_grid must be decreasing with at least two points")
     if np.any(u_grid <= 0):
         raise ValueError("u values must be positive")
-    power = 1.0 - kappa.total
-    estimates = np.empty_like(u_grid)
-    for j, u in enumerate(u_grid):
-        scaled = np.array([float(ri(u)) * wi for ri, wi in zip(r, w)])
-        args = 1.0 - scaled if side == "upper" else scaled
-        if np.any((args <= 0) | (args >= 1)):
-            raise ValueError(f"scaled arguments left (0,1)^d at u={u:g}")
-        estimates[j] = float(c(args)) / (u ** power * float(ell(u)))
+    scaled = np.column_stack([ri(u_grid) for ri in r]) * w
+    args = 1.0 - scaled if side == "upper" else scaled
+    outside = np.any((args <= 0) | (args >= 1), axis=-1)
+    if outside.any():
+        raise ValueError(f"scaled arguments left (0,1)^d at u={u_grid[outside.argmax()]:g}")
+    estimates = c(args) / (u_grid ** (1.0 - kappa.total) * ell(u_grid))
     u1, u2 = u_grid[-2], u_grid[-1]
     e1, e2 = estimates[-2], estimates[-1]
     limit = e2 + (e2 - e1) * u2 / (u1 - u2)
@@ -346,7 +352,8 @@ def compatibility_defect(r: Callable[[float], float],
                          survival: Callable[[float], float],
                          rho_i: float, alpha_i: float,
                          t_grid: Sequence[float]) -> CompatibilityResult:
-    """Check r(1/t) ~ 1 - F(t^{rho_i/alpha_i}) along t_grid.
+    """Check r(1/t) ~ 1 - F(t^{rho_i/alpha_i}) along t_grid; ``r`` and
+    ``survival`` are each called once, on an array.
 
     The tilde relation requires the ratio to tend to 1; a finite limit
     other than 1 is reported separately from outright divergence.
@@ -354,9 +361,7 @@ def compatibility_defect(r: Callable[[float], float],
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be increasing")
-    ratios = np.empty_like(t_grid)
-    for j, t in enumerate(t_grid):
-        ratios[j] = float(r(1.0 / t)) / float(survival(t ** (rho_i / alpha_i)))
+    ratios = r(1.0 / t_grid) / survival(t_grid ** (rho_i / alpha_i))
     defects = np.abs(ratios - 1.0)
     if defects[-1] < _COMPAT_TOL:
         verdict = "compatible"

@@ -29,7 +29,7 @@ import numpy as np
 from scipy import integrate
 
 from . import kernels
-from .copulatail import TailDensityForm, TailOrder, liouville_limit_form
+from .copulatail import TailDensityForm, liouville_limit_form
 from .liouville import LiouvilleParams
 from .opscale import DiagExponent
 
@@ -199,14 +199,13 @@ def intensity_measure(form: TailDensityForm, region: Region,
     return IntensityResult(value=total, verdict="finite", error=toterr)
 
 
-def exponent_function(form: TailDensityForm, w,
-                      rho: Optional[TailOrder] = None) -> float:
-    """a_C(w) = Lambda(lower strips at w) for a copula-frame tail density."""
+def exponent_function(form: TailDensityForm, w) -> float:
+    """a_C(w) = Lambda(lower strips at w) for a copula-frame tail density. For
+    ``liouville_copula_tail_form``, a_C(e_i) is margin i's tail constant c_i,
+    not 1, as that form is relative to r_i(u) = c_i u (see there)."""
     w = np.asarray(w, dtype=float)
     if np.all(w == 0):
         raise ValueError("some w_i must be positive")
-    if rho is not None and form.kappa is not None and tuple(rho.kappa) != tuple(form.kappa):
-        raise ValueError("tail order disagrees with the form's kappa")
     res = intensity_measure(form, Region.lower_union(w))
     if res.verdict != "finite":
         raise DivergentIntegralError("exponent integral divergent")

@@ -123,6 +123,8 @@ class LiouvilleParams:
     Construction verifies integrability of t^{A-1} g(t) on (0, infinity)
     (A = sum a_i) and stores that integral; for the inverted-Dirichlet
     driver this is the Beta function B(A, theta - A), requiring theta > A.
+    Every radial and marginal CDF, survival, quantile and density takes a
+    float, giving a float, or an array, giving an array of its shape.
     """
 
     def __init__(self, a: Sequence[float], g: DrivingFunction):
@@ -201,23 +203,16 @@ class LiouvilleParams:
 
     # -- radial part ------------------------------------------------------
 
-    def radial_cdf(self, r) -> float:
+    def radial_cdf(self, r):
         """CDF of the radial part R, density proportional to t^{A-1} g(t)."""
-        r = np.asarray(r, dtype=float)
-        if not np.all(r > 0):
+        if not np.all(np.asarray(r, dtype=float) > 0):
             raise ValueError("radial_cdf requires r > 0")
-        fin = np.isfinite(r)
-        out = np.ones(r.shape)  # 1 at r = inf
-        out[fin] = self._law(self.total_shape)[0](r[fin])
-        return float(out) if out.ndim == 0 else out
+        return self._law_at(self.total_shape, 0, r)
 
-    def radial_quantile(self, q) -> float:
+    def radial_quantile(self, q):
         """Inverse radial CDF by the two-sided rule of ``_quantile``: closed
         for the closed drivers, a root of the quadrature CDF or survival for
         GenericRV."""
-        q = np.asarray(q, dtype=float)
-        if not np.all((q > 0) & (q < 1)):
-            raise ValueError("radial_quantile requires q in (0, 1)")
         return self._quantile(self.total_shape, q)
 
     # -- one law per driver: R (shape s = A) and every X_i (s = a_i) ------
@@ -279,12 +274,25 @@ class LiouvilleParams:
         return (lambda x: low(x) if x <= 1.0 else 1.0 - high(x),
                 lambda x: high(x) if x > 1.0 else 1.0 - low(x))
 
+    def _law_at(self, s: float, k: int, x):
+        """The CDF (k = 0) or survival (k = 1) of the law with shape s at
+        x >= 0, exact at x = 0 and x = inf."""
+        x = np.asarray(x, dtype=float)
+        if not np.all(x >= 0):  # NaN fails too
+            raise ValueError("x must be non-negative")
+        inner = (x > 0) & (x < math.inf)
+        out = np.where(x > 0, 1.0 - k, float(k))
+        out[inner] = self._law(s)[k](x[inner])
+        return float(out) if out.ndim == 0 else out
+
     def _quantile(self, s: float, q):
         """The inverse CDF of the law with shape s by one rule: ppf(q) for
         q <= 1/2 and isf(1 - q) above, so that neither tail cancels. Each side
         is evaluated on its own entries only."""
-        _, _, ppf, isf = self._law(s)
         q = np.asarray(q, dtype=float)
+        if not np.all((q > 0) & (q < 1)):
+            raise ValueError("quantile levels q must lie in (0, 1)")
+        _, _, ppf, isf = self._law(s)
         flat, out = q.ravel(), np.empty(q.size)
         low = flat <= 0.5
         # integer indices: boolean indexing on a random mask is ~5x slower
@@ -361,50 +369,39 @@ class LiouvilleParams:
         return math.exp(special.gammaln(self.total_shape) - special.gammaln(s)
                         - math.log(self.radial_norm))
 
-    def marginal_density(self, i: int, x: float) -> float:
+    def marginal_density(self, i: int, x):
         """f_i(x) = kappa_i * W^{a^{(i)}} g(x) * x^{a_i - 1}, a^{(i)} = sum_{j != i} a_j:
         the BetaPrime(a_i, theta - A) or Gamma(a_i) density for the closed
         drivers, through the closed ``weyl_integral``."""
         self._check_margin(i)
-        if not x >= 0:
+        x = np.asarray(x, dtype=float)
+        if not np.all(x >= 0):
             raise ValueError("x must be non-negative")
         ai = self.a[i]
-        if x == 0:
-            if ai < 1:
-                return math.inf
-            if ai > 1:
-                return 0.0
-        order = self.total_shape - ai
-        pow_term = 1.0 if (x == 0 and ai == 1) else x ** (ai - 1.0)
-        return self._shape_norm(ai) * self.weyl_integral(order, x) * pow_term
+        weyl = np.vectorize(partial(self.weyl_integral, self.total_shape - ai),
+                            otypes=[float])
+        with np.errstate(divide="ignore"):  # 0 ** (a_i - 1) is inf for a_i < 1
+            out = self._shape_norm(ai) * weyl(x) * x ** (ai - 1.0)
+        return float(out) if out.ndim == 0 else out
 
-    def _marginal_survival(self, i: int, x: float) -> float:
+    def _marginal_survival(self, i: int, x):
         """P(X_i > x), the survival of the law of ``_law(a_i)``."""
-        if math.isnan(x):
-            raise ValueError("x must be a number")
-        if x <= 0 or x == math.inf:
-            return float(x <= 0)
-        return float(self._law(self.a[i])[1](x))
+        self._check_margin(i)
+        return self._law_at(self.a[i], 1, x)
 
-    def marginal_cdf(self, i: int, x: float) -> float:
+    def marginal_cdf(self, i: int, x):
         """P(X_i <= x), computed directly rather than as 1 - survival, so that
         small values keep their relative accuracy: ``betainc``/``gammainc``
         for the closed drivers, for GenericRV the mean over R of the Beta CDF
         of x/R (for x > 1 there, one minus the directly integrated survival)."""
         self._check_margin(i)
-        if not x >= 0:
-            raise ValueError("x must be non-negative")
-        if x == 0 or x == math.inf:
-            return float(x > 0)
-        return float(self._law(self.a[i])[0](x))
+        return self._law_at(self.a[i], 0, x)
 
-    def marginal_quantile(self, i: int, q: float) -> float:
+    def marginal_quantile(self, i: int, q):
         """Inverse of ``marginal_cdf`` by the two-sided rule of ``_quantile``:
         the CDF side for q <= 1/2, the survival side 1 - q above."""
         self._check_margin(i)
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"q must lie in (0, 1), got {q}")
-        return self._quantile(self.a[i], float(q))
+        return self._quantile(self.a[i], q)
 
     def _check_margin(self, i: int):
         if not 0 <= i < self.dim:

@@ -35,6 +35,10 @@ class CheckResult:
                 "tolerance": float(self.tolerance), "detail": self.detail}
 
 
+# the 5 x 5 grid on [0.5, 2]^2, in "ij" order, as one (25, 2) batch
+_W_GRID = np.linspace(0.5, 2.0, 5)[np.indices((5, 5)).reshape(2, -1).T]
+
+
 def _id_case():
     p = LiouvilleParams([1.0, 1.0], InvertedDirichlet(3.0))
     E = DiagExponent([1.0, 1.0])
@@ -45,10 +49,8 @@ def suite_quasihom() -> list:
     """Quasihomogeneity of the closed forms plus a corrupted negative control."""
     p, E = _id_case()
     lam_c = copulatail.liouville_copula_tail_form(p, E)
-    w_grid = [np.array([w1, w2]) for w1 in np.linspace(0.5, 2.0, 5)
-              for w2 in np.linspace(0.5, 2.0, 5)]
-    worst = max(copulatail.quasihomogeneity_defect(lam_c, t, w)
-                for t in (0.5, 2.0, 10.0) for w in w_grid)
+    worst = float(max(copulatail.quasihomogeneity_defect(lam_c, t, _W_GRID).max()
+                      for t in (0.5, 2.0, 10.0)))
     checks = [CheckResult("quasihom-closed-form", worst < 1e-10, worst, 1e-10)]
     corrupted = replace(lam_c, coord_powers=tuple(s + 0.3 for s in lam_c.coord_powers))
     bad = copulatail.quasihomogeneity_defect(corrupted, 2.0, np.array([1.0, 1.0]))
@@ -64,19 +66,13 @@ def suite_transform_roundtrip(seed: int = 0) -> list:
     lam_c = copulatail.liouville_copula_tail_form(p, E)
     frame = copulatail.MarginalFrame([1.0, 1.0])
     rng = np.random.Generator(np.random.Philox(seed))
-    worst = 0.0
-    for _ in range(100):
-        x = rng.uniform(0.2, 5.0, size=2)
-        back = copulatail.copula_tail_to_density(
-            lambda w: copulatail.density_to_copula_tail(lam, frame, w), frame, x)
-        worst = max(worst, abs(back - lam(x)) / lam(x))
+    x = rng.uniform(0.2, 5.0, size=(100, 2))
+    back = copulatail.copula_tail_to_density(
+        lambda w: copulatail.density_to_copula_tail(lam, frame, w), frame, x)
+    worst = float((abs(back - lam(x)) / lam(x)).max())
     checks = [CheckResult("roundtrip-identity", worst < 1e-12, worst, 1e-12)]
-    worst_pair = 0.0
-    for w1 in np.linspace(0.5, 2.0, 5):
-        for w2 in np.linspace(0.5, 2.0, 5):
-            w = np.array([w1, w2])
-            via = copulatail.density_to_copula_tail(lam, frame, w)
-            worst_pair = max(worst_pair, abs(via - lam_c(w)) / lam_c(w))
+    via = copulatail.density_to_copula_tail(lam, frame, _W_GRID)
+    worst_pair = float((abs(via - lam_c(_W_GRID)) / lam_c(_W_GRID)).max())
     checks.append(CheckResult("roundtrip-explicit-pair", worst_pair < 1e-12,
                               worst_pair, 1e-12))
     return checks
@@ -86,8 +82,7 @@ def suite_empirical_vs_closed(dim: int = 2) -> list:
     """Finite-u copula limits vs the explicit tail density on a w-grid."""
     if dim == 2:
         p, E = _id_case()
-        grid = [np.array([w1, w2]) for w1 in np.linspace(0.5, 2.0, 5)
-                for w2 in np.linspace(0.5, 2.0, 5)]
+        grid = _W_GRID
         tol = 0.01
         u_grid = [1e-3, 1e-4, 1e-5, 1e-6]
     elif dim == 3:

@@ -264,3 +264,33 @@ class TestVerify:
                    "--out", str(tmp_path)])
         assert rc == 2
         assert "unknown suite" in capsys.readouterr().err
+
+    def test_unknown_suite_with_seed_exit_2(self, tmp_path, capsys):
+        cfg = {"task": {"suite": "nonexistent"}}
+        rc = main(["verify", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path), "--seed", "3"])
+        assert rc == 2
+        assert "unknown suite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", [["quasihom"], {"name": "quasihom"}, 3])
+    def test_suite_not_a_string_exit_2(self, tmp_path, capsys, suite):
+        cfg = {"task": {"suite": suite}}
+        rc = main(["verify", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path), "--seed", "3"])
+        assert rc == 2
+        assert "'suite'" in capsys.readouterr().err
+
+    def test_seed_flag_equals_seed_param(self, tmp_path):
+        flag, param = tmp_path / "flag", tmp_path / "param"
+        cfg = {"task": {"suite": "transform-roundtrip"}}
+        assert main(["verify", "--config", write_config(tmp_path, cfg),
+                     "--out", str(flag), "--seed", "5"]) == 0
+        cfg = {"task": {"suite": "transform-roundtrip", "params": {"seed": 5}}}
+        assert main(["verify", "--config", write_config(tmp_path, cfg),
+                     "--out", str(param)]) == 0
+        assert (flag / "report.json").read_bytes() == (param / "report.json").read_bytes()
+
+    def test_seed_flag_ignored_by_seedless_suite(self, tmp_path):
+        cfg = {"task": {"suite": "quasihom"}}
+        assert main(["verify", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path), "--seed", "5"]) == 0

@@ -7,7 +7,8 @@ from opertail import (DiagExponent, GenericRV, InvertedDirichlet, LiouvilleParam
                       MarginalFrame, RVSpec, TailDensityForm, TailOrder,
                       at_zero, compatibility_defect, copula_density,
                       copula_tail_to_density, density_to_copula_tail,
-                      empirical_tail_density, group_invariance_defect,
+                      empirical_tail_density, exponent_function,
+                      group_invariance_defect,
                       liouville_copula_tail_form, liouville_limit_form,
                       liouville_marginal_frame, quasihomogeneity_defect)
 from opertail.cli import _make_evaluator
@@ -54,6 +55,21 @@ class TestCopulaDensity:
             copula_density(p2, [0.0, 0.5])
         with pytest.raises(ValueError):
             copula_density(p2, [0.5, 1.0])
+
+    def test_batch(self, p2):
+        u = np.array([[0.2, 0.7], [0.95, 0.3], [0.99, 0.99], [0.5, 0.5]])
+        got = copula_density(p2, u)
+        assert got.shape == (4,)
+        np.testing.assert_allclose(got, closed_copula_density(*u.T), rtol=1e-7)
+        np.testing.assert_array_equal(copula_density(p2, u.reshape(2, 2, 2)),
+                                      got.reshape(2, 2))
+        assert type(copula_density(p2, u[0])) is float
+        np.testing.assert_allclose(got, [copula_density(p2, v) for v in u],
+                                   rtol=1e-15, atol=0)
+        d1 = LiouvilleParams([1.0], InvertedDirichlet(2.0))
+        np.testing.assert_array_equal(copula_density(d1, [[0.3], [0.8]]), [1.0, 1.0])
+        with pytest.raises(ValueError, match="dimension"):
+            copula_density(p2, np.full((3, 3), 0.5))
 
     def test_factory_binds_params(self, p2, E2):
         # the CLI's evaluator factory binds p to copula_density, batch in
@@ -186,6 +202,24 @@ class TestTransforms:
                 lambda w: density_to_copula_tail(lam, frame, w), frame, x)
             assert abs(back / lam(x) - 1.0) < 1e-12
 
+    def test_batch(self, p2):
+        E = DiagExponent([1.0, 2.0])
+        lam, lam_c = liouville_limit_form(p2, E), liouville_copula_tail_form(p2, E)
+        frame = liouville_marginal_frame(p2, E)
+        pts = np.random.default_rng(3).uniform(0.2, 5.0, size=(2, 5, 2))
+        fwd = density_to_copula_tail(lam, frame, pts)
+        back = copula_tail_to_density(lam_c, frame, pts)
+        assert fwd.shape == back.shape == (2, 5)
+        np.testing.assert_allclose(fwd, lam_c(pts), rtol=1e-12)
+        np.testing.assert_allclose(back, lam(pts), rtol=1e-12)
+        flat = pts.reshape(-1, 2)
+        one = [density_to_copula_tail(lam, frame, w) for w in flat]
+        assert all(type(v) is float for v in one)
+        np.testing.assert_allclose(fwd.ravel(), one, rtol=1e-15, atol=0)
+        one = [copula_tail_to_density(lam_c, frame, x) for x in flat]
+        assert all(type(v) is float for v in one)
+        np.testing.assert_allclose(back.ravel(), one, rtol=1e-15, atol=0)
+
     def test_marginal_frame_alphas(self, p2):
         assert liouville_marginal_frame(p2, DiagExponent([1.0, 1.0])).alphas \
             == pytest.approx((1.0, 1.0))
@@ -226,6 +260,20 @@ class TestEmpiricalTailDensity:
         assert est.verdict == "converged"
         assert est.limit == pytest.approx(2.0 * 1.5 ** -3.0 * 0.25, rel=5e-3)
 
+    def test_one_call_on_the_grid(self, p2):
+        calls = []
+
+        def counted(name, f):
+            return lambda v: (calls.append((name, np.shape(v))), f(v))[1]
+
+        c = counted("c", lambda u: copula_density(p2, u))
+        r = [counted("r", lambda u: u)] * 2
+        est = empirical_tail_density(c, r, counted("ell", lambda u: np.ones_like(u)),
+                                     TailOrder([1.0, 1.0]), [1.0, 2.0],
+                                     np.logspace(-2, -6, 5))
+        assert sorted(calls) == [("c", (5, 2)), ("ell", (5,)), ("r", (5,)), ("r", (5,))]
+        assert est.estimates.shape == (5,)
+
     def test_lower_side_independence_mismatch(self):
         c = lambda u: 1.0
         r = [at_zero(RVSpec(1.0, -1.0, 0.0))] * 2
@@ -243,6 +291,56 @@ class TestEmpiricalTailDensity:
         with pytest.raises(ValueError, match="left"):
             empirical_tail_density(c, r, lambda u: 1.0, TailOrder([1.0, 1.0]),
                                    [2000.0, 1.0], [0.5, 1e-3])
+
+
+class TestFractionalShapeScaling:
+    """a = (1/2, 3/2), theta = 4, E = I, so alpha = 2: the closed copula form
+    is the tail density relative to r_i(u) = c_i u, c_i = 1 / (alpha
+    B(a_i, alpha)) = (3/8, 15/8) the margins' tail constants, not relative
+    to r = u; the two agree only where every a_i = 1."""
+
+    C = (0.375, 1.875)
+
+    @pytest.fixture(scope="class")
+    def p(self):
+        return LiouvilleParams([0.5, 1.5], InvertedDirichlet(4.0))
+
+    @pytest.fixture(scope="class")
+    def form(self, p):
+        return liouville_copula_tail_form(p, DiagExponent([1.0, 1.0]))
+
+    def test_tail_constants(self, p):
+        # P(X_i > x) ~ c_i x^-2 for X_i ~ BetaPrime(a_i, 2)
+        for i, ci in enumerate(self.C):
+            assert p._marginal_survival(i, 1e8) * 1e16 == pytest.approx(ci, rel=1e-6)
+
+    @pytest.mark.parametrize("w", [(1.0, 1.0), (0.5, 2.0)])
+    def test_empirical_limit_with_scaled_r(self, p, form, w):
+        est = empirical_tail_density(lambda u: copula_density(p, u),
+                                     [lambda u, ci=ci: ci * u for ci in self.C],
+                                     lambda u: 1.0 / (self.C[0] * self.C[1]),
+                                     TailOrder([1.0, 1.0]), w, [1e-4, 1e-5, 1e-6])
+        assert est.verdict == "converged"
+        assert est.limit == pytest.approx(form(w), rel=0.01)
+        # relative to r = u the finite-u value stays off the form: 0.0777 vs 0.0597
+        unscaled = 1e-8 * copula_density(p, 1.0 - 1e-8 * np.asarray(w))
+        assert abs(unscaled / form(w) - 1.0) > 0.2
+
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_compatibility_verdicts(self, p, i):
+        ci, t = self.C[i], np.logspace(2, 10, 5)
+        surv = lambda x: p._marginal_survival(i, x)
+        plain = compatibility_defect(lambda u: u, surv, 1.0, 2.0, t)
+        assert plain.verdict.startswith("incompatible (constant")
+        assert plain.ratios[-1] == pytest.approx(1.0 / ci, rel=1e-4)  # 2.667, 0.533
+        assert compatibility_defect(lambda u: ci * u, surv, 1.0, 2.0, t).verdict == \
+            "compatible"
+
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_exponent_function_at_unit_vectors(self, form, i):
+        e = [0.0, 0.0]
+        e[i] = 1.0
+        assert exponent_function(form, e) == pytest.approx(self.C[i], rel=1e-6)
 
 
 class TestCompatibility:

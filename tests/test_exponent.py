@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from opertail import (DiagExponent, DivergentIntegralError, InvertedDirichlet,
-                      LiouvilleParams, Region, TailOrder, exponent_function,
+                      LiouvilleParams, Region, exponent_function,
                       exponent_mixed_derivative_defect, intensity_measure,
                       liouville_copula_tail_form, liouville_limit_form,
                       orthant_convergence)
@@ -130,11 +130,6 @@ class TestExponentFunction:
     def test_all_zero_rejected(self, lam_c):
         with pytest.raises(ValueError):
             exponent_function(lam_c, [0.0, 0.0])
-
-    def test_tail_order_cross_check(self, lam_c):
-        exponent_function(lam_c, [1.0, 1.0], rho=TailOrder([1.0, 1.0]))
-        with pytest.raises(ValueError, match="tail order"):
-            exponent_function(lam_c, [1.0, 1.0], rho=TailOrder([1.0, 2.0]))
 
 
 class TestMixedDerivative:

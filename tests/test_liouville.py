@@ -124,6 +124,52 @@ class TestBatchContract:
             assert type(p.joint_density(x)) is float
             assert type(p.limiting_density(E, x)) is float
 
+    # margin i is BetaPrime(a_i, theta - A) = BetaPrime(a_i, 3/2)
+    XM = np.array([[0.0, 0.01, 0.3], [1.0, 7.0, 100.0]])
+    QM = np.array([[0.05, 0.3, 0.5], [0.51, 0.8, 0.95]])
+
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_margins_take_arrays(self, p, i):
+        law = stats.betaprime(self.A[i], 1.5)
+        x, q = self.XM, self.QM
+        with np.errstate(divide="ignore"):
+            pdf = law.pdf(x)
+        pdf[0, 0] = [math.inf, 1.5, 0.0][i]  # a_i below, at and above 1
+        for got, want in ((p.marginal_density(i, x), pdf),
+                          (p.marginal_cdf(i, x), law.cdf(x)),
+                          (p._marginal_survival(i, x), law.sf(x))):
+            assert got.shape == x.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        got = p.marginal_quantile(i, q)
+        assert got.shape == q.shape
+        np.testing.assert_allclose(law.cdf(got), q, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_margin_arrays_match_points(self, p, i):
+        ends = np.array([0.0, 0.5, math.inf])
+        for f, arg in ((p.marginal_cdf, ends), (p._marginal_survival, ends),
+                       (p.marginal_quantile, self.QM.ravel())):
+            points = [f(i, v) for v in arg]
+            assert all(type(v) is float for v in points)
+            assert f(i, arg).tolist() == points  # bitwise
+        points = [p.marginal_density(i, v) for v in self.XM.ravel()]
+        assert all(type(v) is float for v in points)
+        np.testing.assert_allclose(p.marginal_density(i, self.XM.ravel()), points,
+                                   rtol=1e-15, atol=0)
+
+    def test_generic_rv_margins_take_arrays(self):
+        # GenericRV(3, 0), a = (1, 1): margins F(x) = x/(1+x), through quadrature
+        pg = LiouvilleParams([1.0, 1.0], GenericRV(3.0, 0.0))
+        x = np.array([[0.0, 0.1], [9.0, math.inf]])
+        np.testing.assert_allclose(pg.marginal_cdf(0, x), [[0.0, 1 / 11], [0.9, 1.0]],
+                                   rtol=1e-10, atol=0)
+        np.testing.assert_allclose(pg._marginal_survival(1, x),
+                                   [[1.0, 10 / 11], [0.1, 0.0]], rtol=1e-10, atol=0)
+        np.testing.assert_allclose(pg.marginal_density(0, x[0]), [1.0, 1.1 ** -2],
+                                   rtol=1e-10, atol=0)
+        np.testing.assert_allclose(pg.marginal_quantile(1, [0.2, 0.9]), [0.25, 9.0],
+                                   rtol=1e-10, atol=0)
+
     def test_wrong_width_rejected(self, p):
         wide = np.ones((4, 4))
         with pytest.raises(ValueError, match="dimension"):
@@ -293,6 +339,13 @@ class TestMarginals:
     def test_margin_index_validated(self, p2):
         with pytest.raises(ValueError, match="out of range"):
             p2.marginal_density(2, 1.0)
+
+    @pytest.mark.parametrize("i", [-1, 5])
+    def test_survival_margin_index_validated(self, i):
+        # a negative index used to read margin d - 1, a large one IndexError
+        p = LiouvilleParams([1.0, 2.0], InvertedDirichlet(4.0))
+        with pytest.raises(ValueError, match="out of range"):
+            p._marginal_survival(i, 1.0)
 
 
 class TestOperatorLimit:
