@@ -4,8 +4,15 @@ A run is described by a single JSON config (archivable experiment record);
 flags are limited to --config, --out, --seed. `eval` evaluates all points in one
 call. Outputs are CSV with 17 significant digits (runs diff cleanly) or JSON.
 
-Exit codes: 0 success, 1 verification failure, 2 config error, 3 numerical
-error.
+Exit codes: 0 success, 1 verification failure, 2 bad input, 3 numerical
+trouble. The exception's class alone picks the code, in ``main``: a
+``ValueError`` (``ConfigError``, ``IntegrabilityError``, a point outside an
+evaluator's domain) exits 2, an ``ArithmeticError`` or ``RuntimeError``
+(``DivergentIntegralError``, ``NotOperatorRegularlyVarying``, overflow, an
+exhausted quantile bracket) exits 3, and anything else is a bug and propagates.
+Every config value is checked by ``_require``, ``_int_field`` or ``_num_field``
+or by the constructor it feeds; a verify param takes the type of its suite's
+default.
 """
 
 from __future__ import annotations
@@ -19,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import copulatail, verify
-from .exponent import DivergentIntegralError, exponent_function
-from .liouville import IntegrabilityError, LiouvilleParams, NotOperatorRegularlyVarying
+from .exponent import exponent_function
+from .liouville import LiouvilleParams
 from .opscale import DiagExponent
 
 EXIT_OK = 0
@@ -37,24 +44,25 @@ def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+    except OSError as e:
+        raise ConfigError(f"config file cannot be read: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
 
 
-def _require(cfg: dict, field: str):
-    if field not in cfg:
-        raise ConfigError(f"config is missing required field {field!r}")
-    return cfg[field]
+def _require(obj, field: str, name: str = "config"):
+    """``obj[field]``; ``obj`` (the config, or its ``task``) must be an object."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{name} must be an object, got {obj!r}")
+    if field not in obj:
+        raise ConfigError(f"{name} is missing required field {field!r}")
+    return obj[field]
 
 
 def _build_params(cfg: dict) -> LiouvilleParams:
     spec = _require(cfg, "distribution")
     try:
         return LiouvilleParams.from_dict(spec)
-    except IntegrabilityError:
-        raise
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"invalid field 'distribution': {e}")
 
@@ -64,9 +72,13 @@ def _build_exponent(cfg: dict, p: LiouvilleParams) -> DiagExponent:
     if spec is None:
         return DiagExponent([1.0] * p.dim)
     try:
-        return DiagExponent.from_dict(spec)
+        E = DiagExponent.from_dict(spec)
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"invalid field 'exponent': {e}")
+    if E.dim != p.dim:
+        raise ConfigError(f"invalid field 'exponent': need {p.dim} eigenvalues, "
+                          f"got {E.dim}")
+    return E
 
 
 def _int_field(value, field: str, lo: int, hi: float = float("inf")) -> int:
@@ -109,19 +121,6 @@ def _grid_points(task: dict, dim: int) -> np.ndarray:
     return pts
 
 
-# each evaluator's domain: a test on the (n, d) points and its statement
-_NONNEGATIVE = (lambda X: (X >= 0).all(1), "coordinates >= 0")
-_DOMAINS = {
-    "joint_density": _NONNEGATIVE,
-    "limiting_density": _NONNEGATIVE,
-    "marginal_density": _NONNEGATIVE,
-    "liouville_copula_tail_density": (lambda W: (W > 0).all(1), "coordinates > 0"),
-    "copula_density": (lambda U: ((U > 0) & (U < 1)).all(1), "coordinates in (0, 1)"),
-    "exponent_function": (lambda W: (W >= 0).all(1) & (W > 0).any(1),
-                          "coordinates >= 0, not all 0"),
-}
-
-
 def _make_evaluator(name: str, task: dict, p: LiouvilleParams, E: DiagExponent):
     """(fn, formula, normalization); ``fn`` maps an (n, d) array to n values."""
     if name == "joint_density":
@@ -157,17 +156,18 @@ def cmd_eval(cfg: dict, out_dir: Path) -> int:
     p = _build_params(cfg)
     E = _build_exponent(cfg, p)
     task = _require(cfg, "task")
-    name = _require(task, "evaluator")
+    name = _require(task, "evaluator", "task")
     dim = 1 if name == "marginal_density" else p.dim
     fn, formula, note = _make_evaluator(name, task, p, E)
     points = _grid_points(task, dim)
-    inside, domain = _DOMAINS[name]
-    if not inside(points).all():
-        raise ConfigError(f"invalid field 'points': {name} needs {domain}")
+    try:  # every evaluator rejects a point outside its domain with a ValueError
+        values = np.asarray(fn(points), dtype=float)
+    except ValueError as e:
+        raise ConfigError(f"invalid field 'points': {e}")
     out_path = out_dir / "eval.csv"
     cols = [f"w{i + 1}" for i in range(dim)]
     _write_csv(out_path, [",".join(cols + ["value", "formula", "normalization"])],
-               np.column_stack([points, np.asarray(fn(points), dtype=float)]),
+               np.column_stack([points, values]),
                ",".join(["%.17g"] * (dim + 1) + [formula, note]))
     print(f"wrote {out_path} ({len(points)} rows)")
     return EXIT_OK
@@ -176,14 +176,15 @@ def cmd_eval(cfg: dict, out_dir: Path) -> int:
 def cmd_sample(cfg: dict, out_dir: Path, seed_override) -> int:
     p = _build_params(cfg)
     task = _require(cfg, "task")
-    n = _int_field(_require(task, "n"), "n", 1)
+    n = _int_field(_require(task, "n", "task"), "n", 1)
     seed = seed_override if seed_override is not None else cfg.get("seed")
     if seed is None:
         raise ConfigError("config is missing required field 'seed' "
                           "(or pass --seed)")
-    x = p.sample(n, int(seed))
+    seed = _int_field(seed, "seed", 0)
+    x = p.sample(n, seed)
     out_path = out_dir / "samples.csv"
-    _write_csv(out_path, [f"# seed={int(seed)} params={json.dumps(p.to_dict())}",
+    _write_csv(out_path, [f"# seed={seed} params={json.dumps(p.to_dict())}",
                           ",".join(f"x{i + 1}" for i in range(p.dim))], x)
     print(f"wrote {out_path} ({n} rows)")
     return EXIT_OK
@@ -191,20 +192,25 @@ def cmd_sample(cfg: dict, out_dir: Path, seed_override) -> int:
 
 def cmd_verify(cfg: dict, out_dir: Path, seed_override) -> int:
     task = _require(cfg, "task")
-    name = _require(task, "suite")
+    name = _require(task, "suite", "task")
     if not isinstance(name, str):
         raise ConfigError(f"invalid field 'suite': need a string, got {name!r}")
     params = task.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"invalid field 'params': need an object, got {params!r}")
     kwargs = dict(params)
-    if (seed_override is not None and name in verify.SUITES
-            and "seed" in inspect.signature(verify.SUITES[name]).parameters):
-        kwargs["seed"] = int(seed_override)
-    try:
-        checks = verify.run_suite(name, **kwargs)
-    except ValueError as e:
-        raise ConfigError(str(e))
+    # run_suite rejects an unknown suite or param; a known param takes the type
+    # of its default, and every suite param defaults to an int or a float
+    signature = (inspect.signature(verify.SUITES[name]).parameters
+                 if name in verify.SUITES else {})
+    if seed_override is not None and "seed" in signature:
+        kwargs["seed"] = seed_override
+    for key, value in kwargs.items():
+        if key in signature:
+            kwargs[key] = (_int_field(value, key, 0)
+                           if isinstance(signature[key].default, int)
+                           else _num_field(value, key))
+    checks = verify.run_suite(name, **kwargs)
     report = {"suite": name,
               "checks": [c.to_dict() for c in checks],
               "passed": all(c.passed for c in checks)}
@@ -240,11 +246,10 @@ def main(argv=None) -> int:
         if args.command == "sample":
             return cmd_sample(cfg, out_dir, args.seed)
         return cmd_verify(cfg, out_dir, args.seed)
-    except (ConfigError, IntegrabilityError) as e:
+    except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DivergentIntegralError, NotOperatorRegularlyVarying,
-            ArithmeticError, RuntimeError, ValueError) as e:
+    except (ArithmeticError, RuntimeError) as e:
         print(f"numerical error: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
 

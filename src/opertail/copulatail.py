@@ -6,9 +6,9 @@ Closed forms are represented by the power-sum-product family
 
     coef * (sum_{i in S} w_i^{p_i})^q * prod_i w_i^{s_i},
 
-which is closed under every transform appearing here, serializes to a small
-JSON record, and admits exact per-coordinate exponent analysis (used by the
-divergence pre-check in the intensity-measure integrator).
+which is closed under every transform appearing here and admits exact
+per-coordinate exponent analysis (used by the divergence pre-check in the
+intensity-measure integrator).
 
 Sign convention for the copula-frame tail index: the marginal indices are
 alpha_i = rho / lambda_i with rho = lambda_max * beta - sum_i lambda_i a_i
@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .liouville import LiouvilleParams, NotOperatorRegularlyVarying
+from .liouville import LiouvilleParams
 from .opscale import DiagExponent
 
 
@@ -67,7 +67,6 @@ class TailDensityForm:
     kappa: Optional[tuple] = None
     lambdas: Optional[tuple] = None
     rho: Optional[float] = None
-    note: str = ""
 
     def __post_init__(self):
         if self.frame not in ("original", "copula"):
@@ -93,34 +92,6 @@ class TailDensityForm:
         out = (self.coef * s ** self.sum_exponent
                * (w ** np.asarray(self.coord_powers)).prod(axis=-1))
         return float(out) if w.ndim == 1 else out
-
-    def to_dict(self) -> dict:
-        d = {"frame": self.frame, "coef": self.coef,
-             "sum_indices": list(self.sum_indices),
-             "sum_powers": list(self.sum_powers),
-             "sum_exponent": self.sum_exponent,
-             "coord_powers": list(self.coord_powers)}
-        if self.kappa is not None:
-            d["kappa"] = list(self.kappa)
-        if self.lambdas is not None:
-            d["lambdas"] = list(self.lambdas)
-        if self.rho is not None:
-            d["rho"] = self.rho
-        if self.note:
-            d["note"] = self.note
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TailDensityForm":
-        return cls(frame=d["frame"], coef=float(d["coef"]),
-                   sum_indices=tuple(d["sum_indices"]),
-                   sum_powers=tuple(float(v) for v in d["sum_powers"]),
-                   sum_exponent=float(d["sum_exponent"]),
-                   coord_powers=tuple(float(v) for v in d["coord_powers"]),
-                   kappa=tuple(d["kappa"]) if "kappa" in d else None,
-                   lambdas=tuple(d["lambdas"]) if "lambdas" in d else None,
-                   rho=float(d["rho"]) if "rho" in d else None,
-                   note=d.get("note", ""))
 
 
 @dataclass(frozen=True)
@@ -199,8 +170,7 @@ def liouville_limit_form(p: LiouvilleParams, E: DiagExponent) -> TailDensityForm
         frame="original", coef=p.norm_const,
         sum_indices=idx, sum_powers=(1.0,) * len(idx), sum_exponent=-beta,
         coord_powers=tuple(v - 1.0 for v in p.a),
-        lambdas=E.eigenvalues, rho=p.tail_rv_index(E),
-        note="operator limit of the Liouville density")
+        lambdas=E.eigenvalues, rho=p.tail_rv_index(E))
 
 
 def liouville_copula_tail_form(p: LiouvilleParams, E: DiagExponent) -> TailDensityForm:
@@ -221,8 +191,7 @@ def liouville_copula_tail_form(p: LiouvilleParams, E: DiagExponent) -> TailDensi
         sum_indices=idx, sum_powers=tuple(-1.0 / alphas[i] for i in idx),
         sum_exponent=-beta,
         coord_powers=tuple(-(al + ai) / al for al, ai in zip(alphas, p.a)),
-        kappa=(1.0,) * p.dim,
-        note="explicit upper tail density of the Liouville copula")
+        kappa=(1.0,) * p.dim)
 
 
 def liouville_marginal_frame(p: LiouvilleParams, E: DiagExponent) -> MarginalFrame:

@@ -248,11 +248,15 @@ def orthant_convergence(p: LiouvilleParams, E: DiagExponent, B: Region,
     """Monte Carlo P(X in t^E B) / U(t) against the intensity target Lambda(B).
 
     U(t) is the canonical tail normalizer g(t^lambda_max) t^{sum lambda_i a_i}
-    (unit slowly varying factors)."""
+    (unit slowly varying factors). Every t is checked, and its U(t) computed,
+    before the sample is drawn: ValueError for a t that is not positive and
+    finite, ArithmeticError for a U(t) that under- or overflows."""
     if n < 10 ** 5:
         raise ValueError("need n >= 1e5 for meaningful orthant estimates")
     if B.dim != p.dim:
         raise ValueError("region dimension mismatch")
+    t_grid = np.asarray(t_grid, dtype=float)
+    normalizers = [p.tail_normalizer(E, t) for t in t_grid]
     form = liouville_limit_form(p, E)
     res = intensity_measure(form, B)
     if res.verdict != "finite":
@@ -262,11 +266,10 @@ def orthant_convergence(p: LiouvilleParams, E: DiagExponent, B: Region,
     lam = E.as_array()
     w = np.asarray(B.w, dtype=float)
     rows = []
-    for t in np.asarray(t_grid, dtype=float):
+    for t, u_t in zip(t_grid, normalizers):
         y = x / t ** lam  # t^{-E} X
         hits = kernels.count_in_region(y, w, B.kind)
         phat = hits / n
-        u_t = p.tail_normalizer(E, t)
         est = phat / u_t
         se = math.sqrt(phat * (1.0 - phat) / n) / u_t
         verdict = "ok" if (hits > 0 or target == 0.0) else "increase n or decrease t"

@@ -39,7 +39,7 @@ class IntegrabilityError(ValueError):
     """The driving function fails integrability against t^{A-1}."""
 
 
-class NotOperatorRegularlyVarying(ValueError):
+class NotOperatorRegularlyVarying(ArithmeticError):
     """Requested an operator tail limit for a rapidly varying driver."""
 
 
@@ -111,6 +111,8 @@ _DRIVING_TYPES = {"inverted_dirichlet": lambda d: InvertedDirichlet(float(d["the
 
 
 def driving_from_dict(d: dict) -> DrivingFunction:
+    if not isinstance(d, dict):
+        raise ValueError(f"driving function must be an object, got {d!r}")
     kind = d.get("type")
     if kind not in _DRIVING_TYPES:
         raise ValueError(f"unknown driving function type {kind!r}")
@@ -176,9 +178,6 @@ class LiouvilleParams:
         return f"LiouvilleParams(a={self.a}, g={self.g})"
 
     # -- joint density ----------------------------------------------------
-
-    def normalizing_constant(self) -> float:
-        return self.norm_const
 
     def joint_density(self, x):
         """c_f * g(sum x_i) * prod x_i^{a_i - 1} at one point ``(d,)``, as a float,
@@ -426,13 +425,17 @@ class LiouvilleParams:
     def tail_normalizer(self, E: DiagExponent, t: float) -> float:
         """V(t) = g(t^{lambda_max}) * t^{sum lambda_i a_i}, the canonical
         normalizer making joint_density(t^E x) / (t^{-tr E} V(t)) converge
-        to limiting_density(x)."""
+        to limiting_density(x); ArithmeticError where it is not a positive double."""
         self.rv_beta()
         self._check_exponent(E)
-        if t <= 0:
-            raise ValueError("t must be positive")
-        lam = E.as_array()
-        return float(self.g(t ** E.lam_max)) * t ** float(lam @ np.asarray(self.a))
+        if not (t > 0 and math.isfinite(t)):
+            raise ValueError(f"t must be positive and finite, got {t}")
+        t, lam = np.float64(t), E.as_array()  # overflow gives inf, checked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = float(self.g(t ** E.lam_max) * t ** float(lam @ np.asarray(self.a)))
+        if not (v > 0 and math.isfinite(v)):
+            raise ArithmeticError(f"tail normalizer V(t) at t = {t:g} is {v:g}")
+        return v
 
     def tail_rv_index(self, E: DiagExponent) -> float:
         """rho = lambda_max * beta - sum lambda_i a_i; V is RV_{-rho}."""

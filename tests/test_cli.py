@@ -1,8 +1,12 @@
 import csv
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opertail import LiouvilleParams
 from opertail.cli import main
@@ -294,3 +298,125 @@ class TestVerify:
         cfg = {"task": {"suite": "quasihom"}}
         assert main(["verify", "--config", write_config(tmp_path, cfg),
                      "--out", str(tmp_path), "--seed", "5"]) == 0
+
+
+class TestExitContract:
+    """Exit 2 for bad input, 3 for numerical trouble, 1 only for a failed check."""
+
+    @pytest.mark.parametrize("command,cfg,extra,code", [
+        ("eval", 5, [], 2),
+        ("eval", None, [], 2),
+        ("eval", {"distribution": TESTBED, "task": 5}, [], 2),
+        ("eval", {"distribution": {"a": [1.0, 1.0], "g": [1]},
+                  "task": {"evaluator": "joint_density", "points": [[1.0, 1.0]]}}, [], 2),
+        ("verify", {"task": {"suite": "orthant-mc",
+                             "params": {"n": 1e5, "t": 50.0, "seed": 19}}}, [], 0),
+        ("verify", {"task": {"suite": "marginal-hill",
+                             "params": {"n": 2000.0, "k": 100}}}, [], None),
+        ("verify", {"task": {"suite": "marginal-hill", "params": {"k": "x"}}}, [], 2),
+        ("verify", {"task": {"suite": "transform-roundtrip",
+                             "params": {"seed": 1.5}}}, [], 2),
+        ("sample", {"distribution": TESTBED, "seed": "x", "task": {"n": 10}}, [], 2),
+        ("sample", {"distribution": TESTBED, "seed": -3, "task": {"n": 10}}, [], 2),
+        ("sample", {"distribution": TESTBED, "task": {"n": 10}}, ["--seed", "-3"], 2),
+        ("sample", {"distribution": TESTBED, "seed": 1.5, "task": {"n": 10}}, [], 2),
+        ("eval", {"distribution": TESTBED, "exponent": {"eigenvalues": [1.0, 1.0, 1.0]},
+                  "task": {"evaluator": "limiting_density", "points": [[1.0, 1.0]]}},
+         [], 2),
+        ("eval", {"distribution": TESTBED, "exponent": {"eigenvalues": [1.0, 1.0, 1.0]},
+                  "task": {"evaluator": "liouville_copula_tail_density",
+                           "points": [[1.0, 1.0]]}}, [], 2),
+        ("verify", {"task": {"suite": "orthant-mc",
+                             "params": {"n": 100000, "t": 1e200}}}, [], 3),
+        ("verify", {"task": {"suite": "orthant-mc",
+                             "params": {"n": 100000, "t": 1e-300}}}, [], 3),
+    ], ids=["config-5", "config-null", "task-5", "g-list", "orthant-n-float",
+            "hill-n-float", "hill-k-x", "roundtrip-seed-1.5", "seed-x", "seed-neg",
+            "seed-flag-neg", "seed-1.5", "limit-3-eigenvalues", "tail-3-eigenvalues",
+            "orthant-t-1e200", "orthant-t-1e-300"])
+    def test_exit_code(self, tmp_path, capsys, command, cfg, extra, code):
+        out = tmp_path / "out"
+        rc = main([command, "--config", write_config(tmp_path, cfg),
+                   "--out", str(out)] + extra)
+        if code is None:  # runs: a report, whichever way the check went
+            assert rc in (0, 1) and (out / "report.json").exists()
+        else:
+            assert rc == code
+        if code in (2, 3):
+            assert capsys.readouterr().err
+            assert not any(out.iterdir())
+
+
+# Valid configs whose one-field mutations stay cheap: short point lists, small
+# n, and no suite slower than a second (mixed-derivative, exponent-consistency).
+_VALID = [
+    ("eval", {"distribution": TESTBED, "exponent": {"eigenvalues": [1.0, 1.0]},
+              "task": {"evaluator": "liouville_copula_tail_density",
+                       "points": [[1.0, 1.0], [0.5, 2.0]]}}),
+    ("eval", {"distribution": TESTBED,
+              "task": {"evaluator": "joint_density",
+                       "grid": {"start": 0.5, "stop": 2.0, "num": 3}}}),
+    ("eval", {"distribution": TESTBED,
+              "task": {"evaluator": "marginal_density", "margin": 1,
+                       "points": [[0.5], [2.0]]}}),
+    ("sample", {"distribution": TESTBED, "seed": 3, "task": {"n": 50}}),
+    ("verify", {"task": {"suite": "transform-roundtrip", "params": {"seed": 0}}}),
+    ("verify", {"task": {"suite": "empirical-vs-closed", "params": {"dim": 2}}}),
+    ("verify", {"task": {"suite": "orthant-mc",
+                         "params": {"n": 100000, "t": 50.0, "seed": 19}}}),
+    ("verify", {"task": {"suite": "marginal-hill",
+                         "params": {"n": 2000, "k": 100, "seed": 11}}}),
+]
+
+# names the configs use, so that a mutation can reach another valid branch
+_NAMES = st.sampled_from(["joint_density", "limiting_density", "marginal_density",
+                          "copula_density", "exponent_function", "quasihom",
+                          "karamata", "orthant-mc", "rapid", "generic_rv",
+                          "inverted_dirichlet", "type", "theta", "beta", "points",
+                          "grid", "n", "t", "k", "seed", "dim", "eigenvalues"])
+# numbers are capped so that no n or grid.num asks for a huge array
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 300) | _NAMES | st.text(max_size=4)
+    | st.floats(-1e3, 1e3) | st.sampled_from([math.nan, math.inf, -math.inf, 1e-300]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_NAMES | st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+def _paths(value, path=()):
+    """Every path into ``value``: the root, each object field, each list item."""
+    yield path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _mutated(cfg, path, value):
+    if not path:
+        return value
+    cfg = json.loads(json.dumps(cfg))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return cfg
+
+
+@st.composite
+def _mutations(draw):
+    command, cfg = draw(st.sampled_from(_VALID))
+    path = draw(st.sampled_from(list(_paths(cfg))))
+    return command, _mutated(cfg, path, draw(_JSON))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_mutations())
+def test_one_field_mutation_exits_cleanly(mutation):
+    command, cfg = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        rc = main([command, "--config", write_config(Path(tmp), cfg), "--out", str(out)])
+        assert rc in (0, 1, 2, 3)
+        if rc == 1:
+            assert json.loads((out / "report.json").read_text())["passed"] is False

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from opertail import (DiagExponent, GenericRV, InvertedDirichlet, LiouvilleParams,
-                      MarginalFrame, RVSpec, TailDensityForm, TailOrder,
+                      MarginalFrame, RVSpec, TailOrder,
                       at_zero, compatibility_defect, copula_density,
                       copula_tail_to_density, density_to_copula_tail,
                       empirical_tail_density, exponent_function,
@@ -365,12 +365,6 @@ class TestCompatibility:
 
 
 class TestSerialization:
-    def test_form_roundtrip(self, p2, E2):
-        for form in (liouville_copula_tail_form(p2, E2),
-                     liouville_limit_form(p2, DiagExponent([1.0, 2.0]))):
-            back = TailDensityForm.from_dict(form.to_dict())
-            assert back == form
-
     def test_tail_order_validation(self):
         with pytest.raises(ValueError):
             TailOrder([1.0, 0.0])

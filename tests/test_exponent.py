@@ -179,3 +179,14 @@ class TestOrthantConvergence:
         with pytest.raises(ValueError, match="1e5"):
             orthant_convergence(p2, E2, Region.upper_orthant([1.0, 1.0]),
                                 [10.0], n=100, seed=1)
+
+    # t is checked, and U(t) computed, before any sampling or division; a
+    # RuntimeWarning from numpy would fail the test
+    @pytest.mark.parametrize("t,error", [
+        (0.0, ValueError), (-1.0, ValueError), (math.inf, ValueError),
+        (math.nan, ValueError), (1e200, ArithmeticError), (1e-300, ArithmeticError),
+    ], ids=["0", "negative", "inf", "nan", "1e200", "1e-300"])
+    def test_bad_t_rejected(self, p2, E2, t, error):
+        with pytest.raises(error, match="t must be positive and finite|tail normalizer"):
+            orthant_convergence(p2, E2, Region.upper_orthant([1.0, 1.0]),
+                                [10.0, t], n=10 ** 5, seed=1)

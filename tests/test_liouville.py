@@ -23,11 +23,11 @@ def p3():
 
 class TestNormalization:
     def test_testbed_constant(self, p2):
-        assert p2.normalizing_constant() == pytest.approx(2.0, rel=1e-12)
+        assert p2.norm_const == pytest.approx(2.0, rel=1e-12)
 
     def test_d3_constant(self, p3):
         # Gamma(3) / (prod Gamma(1) * B(3, 1)) = 2 / (1/3) = 6
-        assert p3.normalizing_constant() == pytest.approx(6.0, rel=1e-12)
+        assert p3.norm_const == pytest.approx(6.0, rel=1e-12)
 
     def test_quadrature_oracle(self):
         # independent route: 1 / int t^{A-1} g(t) dt * Gamma(A)/prod Gamma(a_i)
@@ -35,7 +35,7 @@ class TestNormalization:
         integral, _ = integrate.quad(
             lambda t: t ** 1.5 * (1 + t) ** -4.0, 0, np.inf)
         expected = math.gamma(2.5) / (math.gamma(0.5) * math.gamma(2.0) * integral)
-        assert p.normalizing_constant() == pytest.approx(expected, rel=1e-9)
+        assert p.norm_const == pytest.approx(expected, rel=1e-9)
 
     def test_integrability_violated(self):
         with pytest.raises(IntegrabilityError, match="integrability violated"):

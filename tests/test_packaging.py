@@ -41,3 +41,16 @@ def test_benchmark_tracing_installs():
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_cli_bad_config_exits_2_without_traceback(tmp_path):
+    # exit 1 means a failed check; a crash would exit 1 too, which only a
+    # separate process shows
+    config = tmp_path / "config.json"
+    config.write_text("5")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-m", "opertail.cli", "eval", "--config",
+                           str(config), "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
