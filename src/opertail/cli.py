@@ -2,14 +2,19 @@
 
 A run is described by a single JSON config (archivable experiment record);
 flags are limited to --config, --out, --seed. `eval` evaluates all points in one
-call. Outputs are CSV with 17 significant digits (runs diff cleanly) or JSON.
+call. `eval` and `sample` write CSV, `verify` writes JSON. A CSV file is ASCII
+with "\\n" line ends: its header lines, then one line per row, every number as
+"%.17g" (so it re-parses to the same float64) and joined by ",", and for `eval`
+the two text columns `formula` and `normalization`.
 
 Exit codes: 0 success, 1 verification failure, 2 bad input, 3 numerical
 trouble. The exception's class alone picks the code, in ``main``: a
 ``ValueError`` (``ConfigError``, ``IntegrabilityError``, a point outside an
-evaluator's domain) exits 2, an ``ArithmeticError`` or ``RuntimeError``
-(``DivergentIntegralError``, ``NotOperatorRegularlyVarying``, overflow, an
-exhausted quantile bracket) exits 3, and anything else is a bug and propagates.
+evaluator's domain, an ``--out`` that cannot be made a directory) exits 2, an
+``ArithmeticError`` or ``RuntimeError`` (``DivergentIntegralError``,
+``NotOperatorRegularlyVarying``, overflow, an exhausted quantile bracket, a NaN
+result, for which no CSV is written) exits 3, and anything else is a bug and
+propagates.
 Every config value is checked by ``_require``, ``_int_field`` or ``_num_field``
 or by the constructor it feeds; a verify param takes the type of its suite's
 default.
@@ -146,10 +151,30 @@ def _make_evaluator(name: str, task: dict, p: LiouvilleParams, E: DiagExponent):
     raise ConfigError(f"unknown evaluator {name!r}")
 
 
-def _write_csv(path: Path, header_lines, body: np.ndarray, fmt: str = "%.17g") -> None:
-    """Header lines as given, then ``body`` row by row; "%.17g" == f"{v:.17g}"."""
-    np.savetxt(path, body, fmt=fmt, delimiter=",", header="\n".join(header_lines),
-               comments="")
+_BLOCK_ROWS = 4096  # rows per `%` call: a few MB of strings, not the whole file
+
+
+def _write_csv(path: Path, header_lines, body: np.ndarray, text=()) -> None:
+    """The header lines, then per row of ``body`` (a 1-D body is one column)
+    its numbers as "%.17g" and the ``text`` columns, joined by ",".
+
+    ASCII with "\\n" line ends, the bytes ``np.savetxt`` writes for the same
+    header and row format. A NaN raises ArithmeticError before the file is
+    opened; +-inf is written as "inf"/"-inf".
+    """
+    body = np.asarray(body, dtype=float)
+    if body.ndim == 1:
+        body = body[:, None]
+    nan_rows = np.isnan(body).any(axis=1)
+    if nan_rows.any():
+        raise ArithmeticError(f"row {nan_rows.argmax() + 1} of {len(body)} is NaN; "
+                              f"{path.name} not written")
+    row = (",".join(["%.17g"] * body.shape[1] + list(text)) + "\n").encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header_lines) + "\n").encode("ascii"))
+        for i in range(0, len(body), _BLOCK_ROWS):
+            block = body[i:i + _BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def cmd_eval(cfg: dict, out_dir: Path) -> int:
@@ -167,8 +192,7 @@ def cmd_eval(cfg: dict, out_dir: Path) -> int:
     out_path = out_dir / "eval.csv"
     cols = [f"w{i + 1}" for i in range(dim)]
     _write_csv(out_path, [",".join(cols + ["value", "formula", "normalization"])],
-               np.column_stack([points, values]),
-               ",".join(["%.17g"] * (dim + 1) + [formula, note]))
+               np.column_stack([points, values]), (formula, note))
     print(f"wrote {out_path} ({len(points)} rows)")
     return EXIT_OK
 
@@ -240,7 +264,10 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"invalid option '--out': {e}")
         if args.command == "eval":
             return cmd_eval(cfg, out_dir)
         if args.command == "sample":

@@ -53,9 +53,6 @@ class DiagExponent:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.eigenvalues, dtype=float)
 
-    def to_dict(self) -> dict:
-        return {"eigenvalues": list(self.eigenvalues)}
-
     @classmethod
     def from_dict(cls, d: dict) -> "DiagExponent":
         return cls(d["eigenvalues"])

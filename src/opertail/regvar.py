@@ -39,14 +39,6 @@ class RVSpec:
     def __call__(self, t):
         return eval_rv(self, t)
 
-    def to_dict(self) -> dict:
-        return {"c": self.c, "rho": self.rho, "gamma": self.gamma}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RVSpec":
-        return cls(c=float(d.get("c", 1.0)), rho=float(d.get("rho", 0.0)),
-                   gamma=float(d.get("gamma", 0.0)))
-
 
 @dataclass(frozen=True)
 class TailIndexEstimate:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opertail import LiouvilleParams
-from opertail.cli import main
+from opertail.cli import _BLOCK_ROWS, _write_csv, main
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -185,6 +185,18 @@ class TestSample:
                           for row in p.sample(300, 5)])
         assert (tmp_path / "samples.csv").read_bytes() == want.encode()
 
+    def test_csv_bytes_match_17g_rows_over_blocks(self, tmp_path):
+        dist = {"a": [0.5, 1.0, 2.0], "g": {"type": "inverted_dirichlet", "theta": 4.0}}
+        n = 10_000  # more than two writer blocks
+        cfg = {"distribution": dist, "seed": 8, "task": {"n": n}}
+        assert main(["sample", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path)]) == 0
+        p = LiouvilleParams.from_dict(dist)
+        want = "".join([f"# seed=8 params={json.dumps(p.to_dict())}\n", "x1,x2,x3\n"]
+                       + [",".join(f"{v:.17g}" for v in row) + "\n"
+                          for row in p.sample(n, 8)])
+        assert (tmp_path / "samples.csv").read_bytes() == want.encode()
+
     def test_seed_flag_overrides(self, tmp_path):
         cfg = {"distribution": TESTBED, "seed": 1, "task": {"n": 100}}
         path = write_config(tmp_path, cfg)
@@ -216,6 +228,61 @@ class TestSample:
               "--out", str(tmp_path)])
         x = np.loadtxt(tmp_path / "samples.csv", delimiter=",", skiprows=2)
         np.testing.assert_allclose(np.median(x, axis=0), [1.0, 1.0], atol=0.05)
+
+
+def _savetxt_bytes(tmp_path, header_lines, body, text=()):
+    """What np.savetxt writes for the same header and row format: the oracle."""
+    ncol = 1 if np.ndim(body) == 1 else np.shape(body)[1]
+    path = tmp_path / "oracle.csv"
+    np.savetxt(path, body, fmt=",".join(["%.17g"] * ncol + list(text)),
+               delimiter=",", header="\n".join(header_lines), comments="")
+    return path.read_bytes()
+
+
+def _awkward_values(rng, size):
+    """Random magnitudes in [1e-300, 1e300] of either sign, mixed with
+    subnormals, signed zeros, infinities and integral floats."""
+    special = np.array([5e-324, -5e-324, 2.2e-310, -1e-320, 0.0, -0.0,
+                        np.inf, -np.inf, 1.0, -7.0, 2.0 ** 53, 1e15, 1e22, 3e300])
+    x = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-300, 300, size)
+    pick = rng.random(size) < 0.2
+    x[pick] = rng.choice(special, pick.sum())
+    x.ravel()[:len(special)] = special[:x.size]
+    return x
+
+
+class TestWriteCsv:
+    """``_write_csv`` writes the bytes of ``np.savetxt``, block by block."""
+
+    @pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                   3 * _BLOCK_ROWS + 1])
+    def test_bytes_match_savetxt(self, tmp_path, n):
+        body = _awkward_values(np.random.default_rng(n), (n, 3))
+        header = ["# seed=1 params={}", "x1,x2,x3"]
+        _write_csv(tmp_path / "out.csv", header, body)
+        assert (tmp_path / "out.csv").read_bytes() == _savetxt_bytes(tmp_path, header, body)
+
+    def test_one_dimensional_body_is_one_column(self, tmp_path):
+        body = _awkward_values(np.random.default_rng(0), _BLOCK_ROWS + 1)
+        _write_csv(tmp_path / "out.csv", ["x"], body)
+        data = (tmp_path / "out.csv").read_bytes()
+        assert data == _savetxt_bytes(tmp_path, ["x"], body)
+        assert data.count(b",") == 0
+
+    def test_text_columns_match_savetxt(self, tmp_path):
+        body = _awkward_values(np.random.default_rng(1), (2 * _BLOCK_ROWS + 5, 3))
+        header = ["w1,w2,value,formula,normalization"]
+        text = ("operator-limit", "c_f carried in the limit form")
+        _write_csv(tmp_path / "out.csv", header, body, text)
+        assert (tmp_path / "out.csv").read_bytes() == \
+            _savetxt_bytes(tmp_path, header, body, text)
+
+    def test_nan_raises_before_the_file_is_opened(self, tmp_path):
+        body = np.ones((_BLOCK_ROWS + 2, 2))
+        body[-1, 1] = np.nan
+        with pytest.raises(ArithmeticError, match=f"row {_BLOCK_ROWS + 2} "):
+            _write_csv(tmp_path / "out.csv", ["x1,x2"], body)
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestVerify:
@@ -345,6 +412,35 @@ class TestExitContract:
         if code in (2, 3):
             assert capsys.readouterr().err
             assert not any(out.iterdir())
+
+    def test_out_is_a_file_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("")
+        cfg = {"distribution": TESTBED, "seed": 1, "task": {"n": 10}}
+        rc = main(["sample", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+        assert rc == 2
+        assert "'--out'" in capsys.readouterr().err
+        assert out.read_text() == ""
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("eval", {"distribution": TESTBED,
+                  "task": {"evaluator": "liouville_copula_tail_density",
+                           "points": [[1.0, 1.0], [1.44e-178, 2.0]]}}),
+        ("eval", {"distribution": TESTBED,
+                  "task": {"evaluator": "liouville_copula_tail_density",
+                           "points": [[292.0, 1e-300]]}}),
+        ("sample", {"distribution": {"a": [1e-300, 1e-300],
+                                     "g": {"type": "inverted_dirichlet", "theta": 3.0}},
+                    "seed": 1, "task": {"n": 5}}),
+    ], ids=["tail-tiny-w1", "tail-tiny-w2", "sample-tiny-shapes"])
+    def test_nan_result_exit_3(self, tmp_path, capsys, command, cfg):
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning):  # numpy reports the 0/0 or inf*0 behind the NaN
+            rc = main([command, "--config", write_config(tmp_path, cfg),
+                       "--out", str(out)])
+        assert rc == 3
+        assert "NaN" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
 
 # Valid configs whose one-field mutations stay cheap: short point lists, small
