@@ -15,9 +15,8 @@ from .exponent import (DivergentIntegralError, IntensityResult,
 from .liouville import (DrivingFunction, GenericRV, IntegrabilityError,
                         InvertedDirichlet, LiouvilleParams,
                         NotOperatorRegularlyVarying, Rapid, driving_from_dict)
-from .opscale import DiagExponent, gauge, gauge_decompose, power_matrix
-from .regvar import (DefectDiagnostics, RVSpec, TailIndexEstimate, at_zero,
-                     eval_rv, hill_estimate, karamata_defect,
-                     ratio_limit_defect)
+from .opscale import DiagExponent
+from .regvar import (RVSpec, TailIndexEstimate, at_zero, hill_estimate,
+                     karamata_defect)
 
 __version__ = "0.1.0"

@@ -10,10 +10,11 @@ the two text columns `formula` and `normalization`.
 Exit codes: 0 success, 1 verification failure, 2 bad input, 3 numerical
 trouble. The exception's class alone picks the code, in ``main``: a
 ``ValueError`` (``ConfigError``, ``IntegrabilityError``, a point outside an
-evaluator's domain, an ``--out`` that cannot be made a directory) exits 2, an
-``ArithmeticError`` or ``RuntimeError`` (``DivergentIntegralError``,
-``NotOperatorRegularlyVarying``, overflow, an exhausted quantile bracket, a NaN
-result, for which no CSV is written) exits 3, and anything else is a bug and
+evaluator's domain, an ``--out`` that cannot be made a directory or written
+into) exits 2, an ``ArithmeticError`` or ``RuntimeError``
+(``DivergentIntegralError``, ``NotOperatorRegularlyVarying``, overflow, an
+exhausted quantile bracket, an untrustworthy exponent cubature, a NaN result,
+for which no CSV is written) exits 3, and anything else is a bug and
 propagates.
 Every config value is checked by ``_require``, ``_int_field`` or ``_num_field``
 or by the constructor it feeds; a verify param takes the type of its suite's
@@ -76,9 +77,10 @@ def _build_exponent(cfg: dict, p: LiouvilleParams) -> DiagExponent:
     spec = cfg.get("exponent")
     if spec is None:
         return DiagExponent([1.0] * p.dim)
+    eigenvalues = _require(spec, "eigenvalues", "exponent")
     try:
-        E = DiagExponent.from_dict(spec)
-    except (KeyError, TypeError, ValueError) as e:
+        E = DiagExponent(eigenvalues)
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"invalid field 'exponent': {e}")
     if E.dim != p.dim:
         raise ConfigError(f"invalid field 'exponent': need {p.dim} eigenvalues, "
@@ -154,6 +156,15 @@ def _make_evaluator(name: str, task: dict, p: LiouvilleParams, E: DiagExponent):
 _BLOCK_ROWS = 4096  # rows per `%` call: a few MB of strings, not the whole file
 
 
+def _open_out(path: Path, mode: str):
+    """``open(path, mode)``; an OSError (say, ``path`` is a directory) is a bad
+    ``--out``."""
+    try:
+        return open(path, mode)
+    except OSError as e:
+        raise ConfigError(f"invalid option '--out': {e}")
+
+
 def _write_csv(path: Path, header_lines, body: np.ndarray, text=()) -> None:
     """The header lines, then per row of ``body`` (a 1-D body is one column)
     its numbers as "%.17g" and the ``text`` columns, joined by ",".
@@ -170,7 +181,7 @@ def _write_csv(path: Path, header_lines, body: np.ndarray, text=()) -> None:
         raise ArithmeticError(f"row {nan_rows.argmax() + 1} of {len(body)} is NaN; "
                               f"{path.name} not written")
     row = (",".join(["%.17g"] * body.shape[1] + list(text)) + "\n").encode("ascii")
-    with open(path, "wb") as fh:
+    with _open_out(path, "wb") as fh:
         fh.write(("\n".join(header_lines) + "\n").encode("ascii"))
         for i in range(0, len(body), _BLOCK_ROWS):
             block = body[i:i + _BLOCK_ROWS]
@@ -239,7 +250,7 @@ def cmd_verify(cfg: dict, out_dir: Path, seed_override) -> int:
               "checks": [c.to_dict() for c in checks],
               "passed": all(c.passed for c in checks)}
     out_path = out_dir / "report.json"
-    with open(out_path, "w") as fh:
+    with _open_out(out_path, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
     for c in checks:

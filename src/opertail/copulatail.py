@@ -51,14 +51,13 @@ class TailOrder:
 class TailDensityForm:
     """Closed-form tail density coef*(sum_{i in S} w^{p_i})^q * prod w^{s_i}.
 
-    ``frame`` is "original" (limit of the joint density under operator
-    scaling) or "copula" (limit of the copula density at the upper corner).
-    Copula-frame forms carry their tail order ``kappa``; original-frame
-    forms carry the operator eigenvalues and the index ``rho`` of the
-    group invariance lambda(t^E x) = t^{-rho - tr E} lambda(x).
+    A copula-frame form (the limit of the copula density at the upper corner)
+    carries its tail order ``kappa``; an original-frame form (the limit of the
+    joint density under operator scaling) carries the operator eigenvalues
+    ``lambdas`` and the index ``rho`` of the group invariance
+    lambda(t^E x) = t^{-rho - tr E} lambda(x).
     """
 
-    frame: str
     coef: float
     sum_indices: tuple
     sum_powers: tuple
@@ -69,8 +68,6 @@ class TailDensityForm:
     rho: Optional[float] = None
 
     def __post_init__(self):
-        if self.frame not in ("original", "copula"):
-            raise ValueError(f"unknown frame {self.frame!r}")
         if self.coef <= 0:
             raise ValueError("coefficient must be positive")
         if len(self.sum_indices) != len(self.sum_powers) or not self.sum_indices:
@@ -167,7 +164,7 @@ def liouville_limit_form(p: LiouvilleParams, E: DiagExponent) -> TailDensityForm
     beta = p.rv_beta()
     idx = E.argmax_set
     return TailDensityForm(
-        frame="original", coef=p.norm_const,
+        coef=p.norm_const,
         sum_indices=idx, sum_powers=(1.0,) * len(idx), sum_exponent=-beta,
         coord_powers=tuple(v - 1.0 for v in p.a),
         lambdas=E.eigenvalues, rho=p.tail_rv_index(E))
@@ -187,7 +184,7 @@ def liouville_copula_tail_form(p: LiouvilleParams, E: DiagExponent) -> TailDensi
     idx = E.argmax_set
     coef = p.norm_const * float(np.prod(1.0 / alphas))
     return TailDensityForm(
-        frame="copula", coef=coef,
+        coef=coef,
         sum_indices=idx, sum_powers=tuple(-1.0 / alphas[i] for i in idx),
         sum_exponent=-beta,
         coord_powers=tuple(-(al + ai) / al for al, ai in zip(alphas, p.a)),
@@ -289,8 +286,8 @@ def empirical_tail_density(c: Callable[[np.ndarray], float],
 
 def quasihomogeneity_defect(lam_c: TailDensityForm, t: float, w) -> float:
     """Relative defect of lambda_C(t^kappa w) = t^{1 - sum kappa} lambda_C(w)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     if lam_c.kappa is None:
         raise ValueError("form carries no tail order; quasihomogeneity needs kappa")
     w = np.asarray(w, dtype=float)
@@ -302,10 +299,11 @@ def quasihomogeneity_defect(lam_c: TailDensityForm, t: float, w) -> float:
 
 def group_invariance_defect(lam: TailDensityForm, t: float, x) -> float:
     """Relative defect of lambda(t^E x) = t^{-rho - tr E} lambda(x)."""
-    if lam.frame != "original" or lam.lambdas is None or lam.rho is None:
-        raise ValueError("group invariance applies to original-frame forms")
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if lam.lambdas is None or lam.rho is None:
+        raise ValueError("group invariance applies to original-frame forms "
+                         "(with lambdas and rho)")
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     x = np.asarray(x, dtype=float)
     lamv = np.asarray(lam.lambdas)
     base = lam(x)

@@ -199,16 +199,27 @@ def intensity_measure(form: TailDensityForm, region: Region,
     return IntensityResult(value=total, verdict="finite", error=toterr)
 
 
+# exponent_function refuses a value whose error estimate exceeds this share of it
+_EXPONENT_RTOL = 1e-3
+
+
 def exponent_function(form: TailDensityForm, w) -> float:
     """a_C(w) = Lambda(lower strips at w) for a copula-frame tail density. For
     ``liouville_copula_tail_form``, a_C(e_i) is margin i's tail constant c_i,
-    not 1, as that form is relative to r_i(u) = c_i u (see there)."""
+    not 1, as that form is relative to r_i(u) = c_i u (see there).
+
+    ArithmeticError unless the cubature's error estimate is at most 1e-3 of
+    |a_C(w)|: far from the unit scale (w = (0, 1e20), or w near 0) the cells
+    lose the mass and the value is wrong by orders of magnitude."""
     w = np.asarray(w, dtype=float)
     if np.all(w == 0):
         raise ValueError("some w_i must be positive")
     res = intensity_measure(form, Region.lower_union(w))
     if res.verdict != "finite":
         raise DivergentIntegralError("exponent integral divergent")
+    if not res.error <= _EXPONENT_RTOL * abs(res.value):
+        raise ArithmeticError(f"exponent cubature untrustworthy at w={w.tolist()}: "
+                              f"error estimate {res.error:.3g} for value {res.value:.3g}")
     return float(res.value)
 
 

@@ -1,4 +1,4 @@
-"""Parametric regularly-varying functions and asymptotic diagnostics.
+"""Parametric regularly-varying functions and tail-index diagnostics.
 
 The working family is V(t) = c * t^rho * log(e + t)^gamma, which is closed
 under the pointwise products arising in the tail-normalizer constructions
@@ -7,8 +7,8 @@ and log powers). Regular variation *at zero* is represented through the
 substitution t -> 1/u: a function r with r(u) ~ u^kappa * slowly-varying
 as u -> 0 is ``at_zero(RVSpec(c, -kappa, gamma))``.
 
-Also provides finite-t defect diagnostics (ratio limits, Karamata's
-relation) and a Hill estimator used as the sample-based tail-index oracle.
+Also provides the finite-t defect of Karamata's relation and a Hill
+estimator used as the sample-based tail-index oracle.
 """
 
 from __future__ import annotations
@@ -37,7 +37,12 @@ class RVSpec:
             raise ValueError("rho and gamma must be finite")
 
     def __call__(self, t):
-        return eval_rv(self, t)
+        """V(t) for t > 0: a float for a scalar t, an array for an array."""
+        t = np.asarray(t, dtype=float)
+        if not np.all(t > 0):
+            raise ValueError("RVSpec requires t > 0")
+        out = self.c * t ** self.rho * np.log(np.e + t) ** self.gamma
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -55,64 +60,22 @@ class TailIndexEstimate:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
 
-@dataclass(frozen=True)
-class DefectDiagnostics:
-    """Finite-t defect sequence plus a convergence verdict."""
-
-    defects: np.ndarray
-    verdict: str
-
-
-def eval_rv(spec: RVSpec, t):
-    """Evaluate V(t) = c * t^rho * log(e + t)^gamma for t > 0."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        raise ValueError("eval_rv requires t > 0")
-    out = spec.c * t ** spec.rho * np.log(np.e + t) ** spec.gamma
-    return float(out) if out.ndim == 0 else out
-
-
 def at_zero(spec: RVSpec) -> Callable[[float], float]:
     """The same spec read at zero: r(u) = V(1/u), so r in RV_{-rho}(0).
 
     ``at_zero(RVSpec(rho=-kappa))`` gives the canonical r(u) = u^kappa.
     """
-    return lambda u: eval_rv(spec, 1.0 / np.asarray(u, dtype=float))
-
-
-def ratio_limit_defect(V: Callable[[float], float], rho: float, x: float,
-                       t_grid: Sequence[float], tol: float = 0.05) -> DefectDiagnostics:
-    """Defects |V(t x)/V(t) - x^rho| along t_grid with an RV_rho verdict.
-
-    The default tolerance accommodates log-type slowly varying factors,
-    whose defect decays only like 1/log t; pure powers sit at rounding
-    level and can be checked with a much tighter tol.
-    """
-    if x <= 0:
-        raise ValueError("x must be positive")
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be increasing with at least two points")
-    defects = np.empty_like(t_grid)
-    for i, t in enumerate(t_grid):
-        num, den = float(V(t * x)), float(V(t))
-        if not (math.isfinite(num) and math.isfinite(den)) or den == 0:
-            return DefectDiagnostics(defects[:i], "not RV")
-        defects[i] = abs(num / den - x ** rho)
-    eventually_down = defects[-1] <= defects[0] + tol
-    if defects[-1] < tol and eventually_down:
-        verdict = f"consistent with RV_{rho:g}"
-    else:
-        verdict = "not RV"
-    return DefectDiagnostics(defects, verdict)
+    return lambda u: spec(1.0 / np.asarray(u, dtype=float))
 
 
 def karamata_defect(density: Callable[[float], float],
                     survival: Callable[[float], float],
                     alpha: float, t: float) -> float:
     """Defect |t f(t) / (alpha Fbar(t)) - 1| of the Karamata tail relation."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     s = float(survival(t))
     if s <= 0:
         raise ValueError("survival exhausted: survival(t) must be positive")

@@ -397,10 +397,14 @@ class TestExitContract:
                              "params": {"n": 100000, "t": 1e200}}}, [], 3),
         ("verify", {"task": {"suite": "orthant-mc",
                              "params": {"n": 100000, "t": 1e-300}}}, [], 3),
+        # a_C(0, 1e20) is 1e20; the cubature gives 3.3e-11, error estimate 6.2e-11
+        ("eval", {"distribution": TESTBED,
+                  "task": {"evaluator": "exponent_function", "points": [[0.0, 1e20]]}},
+         [], 3),
     ], ids=["config-5", "config-null", "task-5", "g-list", "orthant-n-float",
             "hill-n-float", "hill-k-x", "roundtrip-seed-1.5", "seed-x", "seed-neg",
             "seed-flag-neg", "seed-1.5", "limit-3-eigenvalues", "tail-3-eigenvalues",
-            "orthant-t-1e200", "orthant-t-1e-300"])
+            "orthant-t-1e200", "orthant-t-1e-300", "exponent-0-1e20"])
     def test_exit_code(self, tmp_path, capsys, command, cfg, extra, code):
         out = tmp_path / "out"
         rc = main([command, "--config", write_config(tmp_path, cfg),
@@ -421,6 +425,31 @@ class TestExitContract:
         assert rc == 2
         assert "'--out'" in capsys.readouterr().err
         assert out.read_text() == ""
+
+    @pytest.mark.parametrize("command,cfg,name", [
+        ("sample", {"distribution": TESTBED, "seed": 1, "task": {"n": 10}}, "samples.csv"),
+        ("eval", {"distribution": TESTBED,
+                  "task": {"evaluator": "joint_density", "points": [[1.0, 1.0]]}},
+         "eval.csv"),
+        ("verify", {"task": {"suite": "karamata"}}, "report.json"),
+    ], ids=["sample", "eval", "verify"])
+    def test_output_file_is_a_directory_exit_2(self, tmp_path, capsys, command, cfg,
+                                               name):
+        (tmp_path / "out" / name).mkdir(parents=True)
+        rc = main([command, "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "'--out'" in capsys.readouterr().err
+        assert not any((tmp_path / "out" / name).iterdir())
+
+    @pytest.mark.parametrize("exponent", [{}, {"eigenvalue": [1.0, 1.0]}])
+    def test_exponent_without_eigenvalues_exit_2(self, tmp_path, capsys, exponent):
+        cfg = {"distribution": TESTBED, "exponent": exponent,
+               "task": {"evaluator": "limiting_density", "points": [[1.0, 1.0]]}}
+        rc = main(["eval", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "missing required field 'eigenvalues'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,cfg", [
         ("eval", {"distribution": TESTBED,

@@ -175,6 +175,15 @@ class TestQuasihomogeneity:
         with pytest.raises(ValueError):
             group_invariance_defect(form, 2.0, [1.0, 1.0])
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_t_rejected(self, p2, t):
+        # at t = inf the group invariance defect would read 0, a false pass
+        E = DiagExponent([1.0, 2.0])
+        with pytest.raises(ValueError, match="t must be"):
+            group_invariance_defect(liouville_limit_form(p2, E), t, [1.1, 0.6])
+        with pytest.raises(ValueError, match="t must be"):
+            quasihomogeneity_defect(liouville_copula_tail_form(p2, E), t, [1.1, 0.6])
+
 
 class TestTransforms:
     def test_forward(self, p2, E2):

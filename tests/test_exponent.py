@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from opertail import (DiagExponent, DivergentIntegralError, InvertedDirichlet,
                       LiouvilleParams, Region, exponent_function,
@@ -130,6 +131,18 @@ class TestExponentFunction:
     def test_all_zero_rejected(self, lam_c):
         with pytest.raises(ValueError):
             exponent_function(lam_c, [0.0, 0.0])
+
+    def test_untrustworthy_cubature_refused(self, lam_c):
+        # the exact a_C(0, w2) is w2 = 1e20; the cells return 3.3e-11 with an
+        # error estimate of 6.2e-11
+        with pytest.raises(ArithmeticError, match="untrustworthy"):
+            exponent_function(lam_c, [0.0, 1e20])
+
+    def test_warned_cubature_refused(self, lam_c):
+        # a_C(0, 1e12) is 1e12; the cells return 0.0069, and quad warns
+        with pytest.warns(IntegrationWarning), \
+                pytest.raises(ArithmeticError, match="untrustworthy"):
+            exponent_function(lam_c, [0.0, 1e12])
 
 
 class TestMixedDerivative:
