@@ -11,7 +11,8 @@ Exit codes: 0 success, 1 verification failure, 2 bad input, 3 numerical
 trouble. The exception's class alone picks the code, in ``main``: a
 ``ValueError`` (``ConfigError``, ``IntegrabilityError``, a point outside an
 evaluator's domain, an ``--out`` that cannot be made a directory or written
-into) exits 2, an ``ArithmeticError`` or ``RuntimeError``
+into) exits 2, as does a ``MemoryError`` (a grid, sample or verify ``n`` too
+large to allocate), an ``ArithmeticError`` or ``RuntimeError``
 (``DivergentIntegralError``, ``NotOperatorRegularlyVarying``, overflow, an
 exhausted quantile bracket, an untrustworthy exponent cubature, a NaN result,
 for which no CSV is written) exits 3, and anything else is a bug and
@@ -286,6 +287,9 @@ def main(argv=None) -> int:
         return cmd_verify(cfg, out_dir, args.seed)
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as e:
+        print(f"config error: out of memory: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (ArithmeticError, RuntimeError) as e:
         print(f"numerical error: {e}", file=sys.stderr)

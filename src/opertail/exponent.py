@@ -164,7 +164,7 @@ def _cell_divergent(form: TailDensityForm, cell) -> bool:
     return False
 
 
-def _integrate_cell(form: TailDensityForm, cell, epsabs, epsrel):
+def _integrate_cell(form: TailDensityForm, cell):
     ranges = []
     for kind, w in cell:
         if kind == "low":
@@ -177,13 +177,12 @@ def _integrate_cell(form: TailDensityForm, cell, epsabs, epsrel):
     def integrand(*coords):
         return form(np.asarray(coords, dtype=float))
 
-    opts = [{"epsabs": epsabs, "epsrel": epsrel, "limit": 200}] * form.dim
+    opts = [{"epsabs": 1e-10, "epsrel": 1e-8, "limit": 200}] * form.dim
     val, err = integrate.nquad(integrand, ranges, opts=opts)
     return val, err
 
 
-def intensity_measure(form: TailDensityForm, region: Region,
-                      epsabs: float = 1e-10, epsrel: float = 1e-8) -> IntensityResult:
+def intensity_measure(form: TailDensityForm, region: Region) -> IntensityResult:
     """Lambda(B) = int_B form, or a "divergent" verdict from the pre-analysis."""
     if region.dim != form.dim:
         raise ValueError("region and form dimensions differ")
@@ -193,7 +192,7 @@ def intensity_measure(form: TailDensityForm, region: Region,
             return IntensityResult(value=None, verdict="divergent")
     total, toterr = 0.0, 0.0
     for sign, cell in cells:
-        val, err = _integrate_cell(form, cell, epsabs, epsrel)
+        val, err = _integrate_cell(form, cell)
         total += sign * val
         toterr += err
     return IntensityResult(value=total, verdict="finite", error=toterr)
@@ -201,6 +200,14 @@ def intensity_measure(form: TailDensityForm, region: Region,
 
 # exponent_function refuses a value whose error estimate exceeds this share of it
 _EXPONENT_RTOL = 1e-3
+
+
+def _lower_union(form: TailDensityForm, w) -> IntensityResult:
+    """Lambda(lower strips at w), a finite measurement or DivergentIntegralError."""
+    res = intensity_measure(form, Region.lower_union(w))
+    if res.verdict != "finite":
+        raise DivergentIntegralError("exponent integral divergent")
+    return res
 
 
 def exponent_function(form: TailDensityForm, w) -> float:
@@ -214,40 +221,32 @@ def exponent_function(form: TailDensityForm, w) -> float:
     w = np.asarray(w, dtype=float)
     if np.all(w == 0):
         raise ValueError("some w_i must be positive")
-    res = intensity_measure(form, Region.lower_union(w))
-    if res.verdict != "finite":
-        raise DivergentIntegralError("exponent integral divergent")
+    res = _lower_union(form, w)
     if not res.error <= _EXPONENT_RTOL * abs(res.value):
         raise ArithmeticError(f"exponent cubature untrustworthy at w={w.tolist()}: "
                               f"error estimate {res.error:.3g} for value {res.value:.3g}")
     return float(res.value)
 
 
-def exponent_mixed_derivative_defect(form: TailDensityForm, w,
-                                     h: float = 0.05) -> MixedDerivativeResult:
-    """d-th mixed central difference of a_C versus the tail density at w.
+def exponent_mixed_derivative_defect(form: TailDensityForm, w) -> MixedDerivativeResult:
+    """d-th mixed central difference of a_C, half-step 0.05, versus the tail
+    density at w.
 
     Under the lower-strip orientation the d=2 mixed partial is -lambda_C;
     the defect therefore compares magnitudes and reports the sign apart.
     """
     w = np.asarray(w, dtype=float)
-    d = len(w)
-    if h <= 0 or np.any(w <= h):
-        raise ValueError("need 0 < h < min(w)")
+    d, h = len(w), 0.05
+    if np.any(w <= h):
+        raise ValueError(f"need min(w) > the step {h}")
     total, errsum = 0.0, 0.0
     for signs in itertools.product((-1.0, 1.0), repeat=d):
-        point = w + h * np.asarray(signs)
-        res = intensity_measure(form, Region.lower_union(point),
-                                epsabs=1e-11, epsrel=1e-9)
-        if res.verdict != "finite":
-            raise DivergentIntegralError("exponent integral divergent")
+        res = _lower_union(form, w + h * np.asarray(signs))
         total += float(np.prod(signs)) * res.value
-        errsum += res.error or 0.0
+        errsum += res.error
     mixed = total / (2.0 * h) ** d
-    scale = (2.0 * h) ** d
     if errsum > 0.05 * max(abs(total), 1e-300):
-        raise ArithmeticError("step too small: cubature noise exceeds the "
-                              "difference scale")
+        raise ArithmeticError("cubature noise exceeds the mixed difference")
     lam_val = form(w)
     return MixedDerivativeResult(defect=abs(abs(mixed) - lam_val) / lam_val,
                                  magnitude=abs(mixed),

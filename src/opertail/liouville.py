@@ -34,6 +34,9 @@ from scipy import integrate, optimize, special
 
 from .opscale import DiagExponent
 
+# every Liouville quadrature: a pure relative tolerance, deep subdivision
+_quad = partial(integrate.quad, epsabs=0.0, epsrel=1e-11, limit=400)
+
 
 class IntegrabilityError(ValueError):
     """The driving function fails integrability against t^{A-1}."""
@@ -159,10 +162,7 @@ class LiouvilleParams:
                 raise IntegrabilityError(
                     f"integrability violated: need beta > sum(a) "
                     f"({self.g.beta} vs {A})")
-            val, _ = integrate.quad(lambda t: t ** (A - 1) * float(self.g(t)),
-                                    0.0, np.inf, epsabs=0.0, epsrel=1e-11,
-                                    limit=400)
-            return val
+            return _quad(lambda t: t ** (A - 1) * float(self.g(t)), 0.0, np.inf)[0]
         raise TypeError(f"unsupported driving function {self.g!r}")
 
     # -- serialization ----------------------------------------------------
@@ -253,21 +253,20 @@ class LiouvilleParams:
         in 1/u; survival side: u = x/v, v in (0, 1)."""
         A, m = self.total_shape, self.total_shape - s
         kappa, g = self._shape_norm(A), lambda u: float(self.g(u))
-        quad = partial(integrate.quad, epsabs=0.0, epsrel=1e-11, limit=400)
         cdf_d = partial(special.betainc, s, m)
         sf_d = (lambda v: 1.0) if m == 0 else partial(special.betaincc, s, m)
 
         def low(x):
-            val = quad(g, 0.0, x, weight="alg", wvar=(A - 1.0, 0.0))[0]
+            val = _quad(g, 0.0, x, weight="alg", wvar=(A - 1.0, 0.0))[0]
             if m > 0:
-                val += quad(lambda t: cdf_d(x * math.exp(-t)) * math.exp(A * t)
-                            * g(math.exp(t)), math.log(x), 0.0)[0]
-                val += quad(lambda v: cdf_d(x * v) * v ** (-A - 1) * g(1.0 / v),
-                            0.0, 1.0)[0]
+                val += _quad(lambda t: cdf_d(x * math.exp(-t)) * math.exp(A * t)
+                             * g(math.exp(t)), math.log(x), 0.0)[0]
+                val += _quad(lambda v: cdf_d(x * v) * v ** (-A - 1) * g(1.0 / v),
+                             0.0, 1.0)[0]
             return min(kappa * val, 1.0)
 
         def high(x):
-            val = quad(lambda v: v ** (-A - 1) * g(x / v) * sf_d(v), 0.0, 1.0)[0]
+            val = _quad(lambda v: v ** (-A - 1) * g(x / v) * sf_d(v), 0.0, 1.0)[0]
             return x ** A * val / self.radial_norm
 
         return (lambda x: low(x) if x <= 1.0 else 1.0 - high(x),
@@ -320,47 +319,48 @@ class LiouvilleParams:
 
     # -- marginals: the law above, and the Weyl fractional integral -------
 
-    def weyl_integral(self, order: float, x: float) -> float:
-        """W^order g(x) = (1/Gamma(order)) * int_x^inf (s-x)^{order-1} g(s) ds.
+    def weyl_integral(self, order: float, x):
+        """W^order g(x) = (1/Gamma(order)) * int_x^inf (s-x)^{order-1} g(s) ds at
+        x >= 0, a float or an array. ValueError where it diverges: order > beta,
+        or order = beta unless log_power < -1 (the inverted Dirichlet's beta is
+        theta, its log_power 0).
 
-        Closed for the closed drivers: Gamma(theta-m)/Gamma(theta) * (1+x)^{m-theta}
-        for the inverted Dirichlet (the Beta integral; it diverges for
-        m >= theta) and e^{-x} for ``Rapid``. For ``GenericRV`` it is a
-        quadrature on the unit interval through s = x + u/(1-u); the endpoint
-        singularity for order < 1 is absorbed into an algebraic weight.
+        Closed: Gamma(theta-m)/Gamma(theta) * (1+x)^{m-theta} (inverted Dirichlet)
+        and e^{-x} (``Rapid``). For ``GenericRV``, one quadrature per point at
+        every order: with s = x + (1+x) u/(1-u), so 1 + s = (1+x)/(1-u) and the
+        mass sits near u = 1/2 at every x, W^m g(x) = int_0^1 u^{m-1} (1+s)^m
+        g(s)/(1-u) du / Gamma(m), u^{m-1} as quad's algebraic weight and the rest
+        0 at u = 1. At log_power 0 it is within 1.5e-8 of the closed form for
+        beta in {2.5, 4, 7}, m from 0.3 to beta - 0.5 and x in {0} and [1e-3, 1e9].
         """
-        if order == 0:
-            return float(self.g(x))
         if order < 0:
             raise ValueError("order must be non-negative")
-        if isinstance(self.g, InvertedDirichlet):
-            theta = self.g.theta
-            if order >= theta:
-                raise ValueError(f"W^{order} of (1+t)^-{theta} diverges: "
-                                 "need order < theta")
-            return (1.0 + x) ** (order - theta) / special.poch(theta - order, order)
-        if isinstance(self.g, Rapid):
-            return math.exp(-x)
+        beta, log_power = self.g.rv_index, getattr(self.g, "log_power", 0.0)
+        if beta is not None and (order > beta or (order == beta and log_power >= -1)):
+            raise ValueError(f"W^{order} g diverges: need order < {beta}, "
+                             f"or order = {beta} with log_power < -1")
+        x = np.asarray(x, dtype=float)
+        if order == 0 or isinstance(self.g, Rapid):  # W^m e^{-x} = e^{-x}
+            out = self.g(x)
+        elif isinstance(self.g, InvertedDirichlet):
+            out = (1.0 + x) ** (order - beta) / special.poch(beta - order, order)
+        else:
+            def core(u, x):
+                if u == 1.0:
+                    return 0.0
+                s = x + (1.0 + x) * u / (1.0 - u)
+                return float(self.g(s)) * (1.0 + s) ** order / (1.0 - u)
 
-        def core(u):
-            s = x + u / (1.0 - u)
-            return float(self.g(s)) * (1.0 - u) ** (1.0 - order) / (1.0 - u) ** 2
-
-        # deep-tail evaluations sit at the roundoff floor of the pure
-        # relative tolerance; quad's best value there is still accurate
-        # far beyond the tolerances used downstream
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            if order < 1:
-                # pull u^{order-1} into the weight; core handles the rest
-                val, _ = integrate.quad(core, 0.0, 1.0, weight="alg",
-                                        wvar=(order - 1.0, 0.0),
-                                        epsabs=0.0, epsrel=1e-11, limit=400)
-            else:
-                val, _ = integrate.quad(lambda u: u ** (order - 1.0) * core(u),
-                                        0.0, 1.0, epsabs=0.0, epsrel=1e-11,
-                                        limit=400)
-        return val / math.exp(special.gammaln(order))
+            # deep-tail evaluations sit at the roundoff floor of the pure
+            # relative tolerance; quad's best value there is still accurate
+            # far beyond the tolerances used downstream
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", integrate.IntegrationWarning)
+                out = np.array([_quad(core, 0.0, 1.0, args=(v,), weight="alg",
+                                      wvar=(order - 1.0, 0.0))[0]
+                                for v in x.ravel().tolist()])
+            out = out.reshape(x.shape) / math.exp(special.gammaln(order))
+        return float(out) if out.ndim == 0 else out
 
     def _shape_norm(self, s: float) -> float:
         # kappa_s = Gamma(A) / (Gamma(s) N), exact by Liouville's formula; for
@@ -377,10 +377,9 @@ class LiouvilleParams:
         if not np.all(x >= 0):
             raise ValueError("x must be non-negative")
         ai = self.a[i]
-        weyl = np.vectorize(partial(self.weyl_integral, self.total_shape - ai),
-                            otypes=[float])
+        weyl = self.weyl_integral(self.total_shape - ai, x)
         with np.errstate(divide="ignore"):  # 0 ** (a_i - 1) is inf for a_i < 1
-            out = self._shape_norm(ai) * weyl(x) * x ** (ai - 1.0)
+            out = self._shape_norm(ai) * weyl * x ** (ai - 1.0)
         return float(out) if out.ndim == 0 else out
 
     def _marginal_survival(self, i: int, x):

@@ -33,10 +33,6 @@ class DiagExponent:
         return len(self.eigenvalues)
 
     @property
-    def trace(self) -> float:
-        return float(sum(self.eigenvalues))
-
-    @property
     def lam_max(self) -> float:
         return float(max(self.eigenvalues))
 

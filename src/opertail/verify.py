@@ -131,7 +131,7 @@ def suite_mixed_derivative() -> list:
     lam_c = copulatail.liouville_copula_tail_form(p, E)
     checks = []
     for w in ([1.0, 1.0], [1.0, 2.0]):
-        res = exponent.exponent_mixed_derivative_defect(lam_c, w, h=0.05)
+        res = exponent.exponent_mixed_derivative_defect(lam_c, w)
         checks.append(CheckResult(f"mixed-derivative-{tuple(w)}", res.defect < 0.03,
                                   res.defect, 0.03,
                                   detail=f"|mixed|={res.magnitude:.6f} sign={res.sign}"))

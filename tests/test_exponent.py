@@ -147,13 +147,13 @@ class TestExponentFunction:
 
 class TestMixedDerivative:
     def test_at_symmetric_point(self, lam_c):
-        res = exponent_mixed_derivative_defect(lam_c, [1.0, 1.0], h=0.05)
+        res = exponent_mixed_derivative_defect(lam_c, [1.0, 1.0])
         assert res.defect < 0.03
         assert res.magnitude == pytest.approx(0.25, rel=0.03)
         assert res.sign == -1
 
     def test_at_asymmetric_point(self, lam_c):
-        res = exponent_mixed_derivative_defect(lam_c, [1.0, 2.0], h=0.05)
+        res = exponent_mixed_derivative_defect(lam_c, [1.0, 2.0])
         assert res.defect < 0.03
         assert res.magnitude == pytest.approx(2.0 * 1.5 ** -3.0 * 0.25,
                                               rel=0.03)
@@ -161,7 +161,7 @@ class TestMixedDerivative:
 
     def test_step_validation(self, lam_c):
         with pytest.raises(ValueError):
-            exponent_mixed_derivative_defect(lam_c, [1.0, 1.0], h=2.0)
+            exponent_mixed_derivative_defect(lam_c, [0.04, 1.0])
 
 
 class TestOrthantConvergence:

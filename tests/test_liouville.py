@@ -7,7 +7,8 @@ from scipy.special import betainc, betaincc, betaln, gammainc, gammaincc
 
 from opertail import (DiagExponent, GenericRV, IntegrabilityError,
                       InvertedDirichlet, LiouvilleParams,
-                      NotOperatorRegularlyVarying, Rapid, driving_from_dict)
+                      NotOperatorRegularlyVarying, Rapid, copula_density,
+                      driving_from_dict)
 
 
 @pytest.fixture(scope="module")
@@ -377,7 +378,7 @@ class TestOperatorLimit:
         defects = []
         for t in [1e2, 1e3, 1e4]:
             ratio = (p2.joint_density(t ** lam_arr * x)
-                     / (t ** -E.trace * p2.tail_normalizer(E, t)))
+                     / (t ** -lam_arr.sum() * p2.tail_normalizer(E, t)))
             defects.append(abs(ratio / p2.limiting_density(E, x) - 1.0))
         assert defects[-1] < 0.01
         assert defects[0] > defects[-1]
@@ -588,3 +589,61 @@ class TestGenericRVBetaMixing:
     def test_quantile_roundtrip(self, i, q):
         p = LiouvilleParams([0.5, 1.5], GenericRV(3.0, 1.0))
         assert p.marginal_cdf(i, p.marginal_quantile(i, q)) == rel12(q)
+
+
+class TestGenericRVWeyl:
+    """The one GenericRV Weyl quadrature, checked where the closed forms reach:
+    GenericRV(beta, 0) has the inverted-Dirichlet g, so its W^m g is the Beta
+    integral B(m, beta - m)/Gamma(m) * (1+x)^{m-beta} at every order and x."""
+
+    XS = np.concatenate([[0.0], np.logspace(-3, 9, 25)])
+
+    @pytest.mark.parametrize("beta", [2.5, 4.0, 7.0])
+    def test_matches_inverted_dirichlet(self, beta):
+        pg = LiouvilleParams([1.0], GenericRV(beta, 0.0))
+        for m in [0.3, 0.7, 1.0, 2.0, beta - 0.5]:
+            want = math.exp(betaln(m, beta - m)) / math.gamma(m) * (1 + self.XS) ** (m - beta)
+            np.testing.assert_allclose(pg.weyl_integral(m, self.XS), want, rtol=1e-7, atol=0)
+
+    def test_log_factor_margin_positive_in_the_tail(self):
+        p = LiouvilleParams([1.0, 1.0], GenericRV(3.0, 1.0))
+        assert np.all(p.marginal_density(0, self.XS) > 0)
+        # W^1 g(1e7) = int_1e7^inf (1+s)^-3 log(e+s) ds, by mpmath at 30 digits
+        assert p.weyl_integral(1.0, 1e7) == pytest.approx(8.309046270945872e-14, rel=1e-12)
+
+    def test_log_factor_copula_corner(self):
+        # v c(1-v, 1-v) tends to the tail density at (1, 1); its slowly varying
+        # drift is below 3% per decade of v
+        p = LiouvilleParams([1.0, 1.0], GenericRV(3.0, 1.0))
+        corner = [v * copula_density(p, [1.0 - v, 1.0 - v]) for v in (1e-5, 1e-6, 1e-7)]
+        assert corner[1:] == [pytest.approx(corner[0], rel=0.03)] * 2
+
+    def test_fractional_margin_order_above_one(self):
+        # margin 0 of a = (0.4, 2.5) integrates at order 2.5, close to beta = 3
+        x = 0.3455107294592222
+        value = LiouvilleParams([0.4, 2.5], GenericRV(3.0, 1.0)).marginal_density(0, x)
+        assert math.isfinite(value) and value > 0
+        p = LiouvilleParams([0.4, 2.5], GenericRV(3.0, 0.0))
+        assert p.marginal_density(0, x) == pytest.approx(
+            stats.betaprime(0.4, 0.1).pdf(x), rel=1e-7)
+
+    @pytest.mark.parametrize("m, log_power", [(3.5, 0.0), (3.0, 1.0), (3.0, -1.0)])
+    def test_divergent_order_raises(self, m, log_power):
+        p = LiouvilleParams([1.0], GenericRV(3.0, log_power))
+        with pytest.raises(ValueError, match="diverges"):
+            p.weyl_integral(m, 1.0)
+
+    def test_order_beta_with_fast_log_decay_is_finite(self):
+        p = LiouvilleParams([1.0], GenericRV(3.0, -2.0))
+        assert 0 < p.weyl_integral(3.0, 1.0) < math.inf
+
+    @pytest.mark.parametrize("g", [InvertedDirichlet(3.0), GenericRV(3.0, 1.0), Rapid()])
+    def test_array_in_array_out(self, g):
+        p = LiouvilleParams([1.0, 1.0], g)
+        x = np.array([[0.0, 0.5], [2.0, 40.0]])
+        for m in [0.0, 0.5, 1.0]:
+            got = p.weyl_integral(m, x)
+            assert isinstance(got, np.ndarray) and got.shape == x.shape
+            want = [[p.weyl_integral(m, v) for v in row] for row in x.tolist()]
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+            assert type(p.weyl_integral(m, 2.0)) is float

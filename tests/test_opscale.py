@@ -7,7 +7,6 @@ from opertail import DiagExponent
 class TestDiagExponent:
     def test_derived_scalars(self):
         e = DiagExponent([1.0, 2.0, 2.0])
-        assert e.trace == 5.0
         assert e.lam_max == 2.0
         assert e.argmax_set == (1, 2)
 

@@ -1,4 +1,5 @@
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -53,4 +54,46 @@ def test_cli_bad_config_exits_2_without_traceback(tmp_path):
                            str(config), "--out", str(tmp_path / "out")],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_benchmark_worker_import_path():
+    # perfbench/worker.py imports only opertail and opertail.cli, then reads
+    # opertail.kernels.BACKEND on every pass
+    code = ("import sys; sys.path.insert(0, 'src')\n"
+            "import opertail, opertail.cli\n"
+            "print(opertail.kernels.BACKEND)\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "numpy"
+
+
+_ID = {"a": [1.0, 1.0], "g": {"type": "inverted_dirichlet", "theta": 3.0}}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("eval", {"distribution": _ID,
+              "task": {"evaluator": "joint_density", "grid": {"num": 1e5}}}),
+    ("sample", {"distribution": _ID, "seed": 1, "task": {"n": 1e11}}),
+    ("verify", {"task": {"suite": "orthant-mc", "params": {"n": 1e11}}}),
+])
+def test_cli_out_of_memory_exits_2(tmp_path, command, config):
+    # each run asks for one array of tens of GiB or more; under a 3 GiB
+    # address-space limit numpy refuses it before anything is allocated
+    resource = pytest.importorskip("resource")
+    limit = 3 << 30
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-m", "opertail.cli", command, "--config",
+                           str(path), "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120,
+                          preexec_fn=cap_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert "config error: out of memory" in proc.stderr
     assert "Traceback" not in proc.stderr
