@@ -26,11 +26,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from . import kernels
 from .copulatail import TailDensityForm, liouville_limit_form
-from .liouville import LiouvilleParams
+from .liouville import _BLOCK_ROWS, LiouvilleParams
 from .opscale import DiagExponent
 
 
@@ -165,6 +164,8 @@ def _cell_divergent(form: TailDensityForm, cell) -> bool:
 
 
 def _integrate_cell(form: TailDensityForm, cell):
+    from scipy import integrate  # here, so that importing the package skips it
+
     ranges = []
     for kind, w in cell:
         if kind == "low":
@@ -277,8 +278,10 @@ def orthant_convergence(p: LiouvilleParams, E: DiagExponent, B: Region,
     w = np.asarray(B.w, dtype=float)
     rows = []
     for t, u_t in zip(t_grid, normalizers):
-        y = x / t ** lam  # t^{-E} X
-        hits = kernels.count_in_region(y, w, B.kind)
+        scale = t ** lam
+        # rows of t^{-E} X in B, one block at a time: never the whole n x d array
+        hits = sum(kernels.count_in_region(x[i:i + _BLOCK_ROWS] / scale, w, B.kind)
+                   for i in range(0, n, _BLOCK_ROWS))
         phat = hits / n
         est = phat / u_t
         se = math.sqrt(phat * (1.0 - phat) / n) / u_t

@@ -30,12 +30,19 @@ from functools import partial
 from typing import Sequence, Union
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import special
 
 from .opscale import DiagExponent
 
-# every Liouville quadrature: a pure relative tolerance, deep subdivision
-_quad = partial(integrate.quad, epsabs=0.0, epsrel=1e-11, limit=400)
+# rows per block of ``sample`` (and of the orthant counts on a sample)
+_BLOCK_ROWS = 1 << 16
+
+
+def _quad(f, a, b, **kw):
+    """Every Liouville quadrature: a pure relative tolerance, deep subdivision.
+    scipy.integrate is imported here, so that closed-form work never loads it."""
+    from scipy import integrate
+    return integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-11, limit=400, **kw)
 
 
 class IntegrabilityError(ValueError):
@@ -305,17 +312,24 @@ class LiouvilleParams:
     def sample(self, n: int, seed: int) -> np.ndarray:
         """n i.i.d. rows of X = R * D, D ~ Dirichlet(a), R by quantile
         inversion. Counter-based Philox stream keyed by the seed makes the
-        output bitwise reproducible."""
+        output bitwise reproducible.
+
+        The uniforms are clipped to [1e-16, 1 - 1e-16], so no radial draw lies
+        beyond the 1e-16 or the 1 - 1e-16 quantile of R. The gammas are drawn
+        into the returned array, which is then turned into X one block of
+        ``_BLOCK_ROWS`` rows at a time: the working memory is the output,
+        n * d * 8 bytes, plus one block."""
         if n < 1:
             raise ValueError("n must be at least 1")
         rng = np.random.Generator(np.random.Philox(int(seed)))
-        gam = rng.standard_gamma(np.asarray(self.a), size=(n, self.dim))
-        d = gam / gam.sum(axis=1, keepdims=True)
-        u = rng.random(n)
-        # keep quantile arguments inside the open interval
-        u = np.clip(u, 1e-16, 1.0 - 1e-16)
-        r = np.asarray(self.radial_quantile(u), dtype=float)
-        return r[:, None] * d
+        x = rng.standard_gamma(np.asarray(self.a), size=(n, self.dim))
+        # Philox gives the same uniforms block by block as in one call
+        for i in range(0, n, _BLOCK_ROWS):
+            block = x[i:i + _BLOCK_ROWS]
+            block /= block.sum(axis=1, keepdims=True)
+            u = np.clip(rng.random(len(block)), 1e-16, 1.0 - 1e-16)
+            block *= self.radial_quantile(u)[:, None]
+        return x
 
     # -- marginals: the law above, and the Weyl fractional integral -------
 
@@ -354,8 +368,9 @@ class LiouvilleParams:
             # deep-tail evaluations sit at the roundoff floor of the pure
             # relative tolerance; quad's best value there is still accurate
             # far beyond the tolerances used downstream
+            from scipy.integrate import IntegrationWarning
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore", integrate.IntegrationWarning)
+                warnings.simplefilter("ignore", IntegrationWarning)
                 out = np.array([_quad(core, 0.0, 1.0, args=(v,), weight="alg",
                                       wvar=(order - 1.0, 0.0))[0]
                                 for v in x.ravel().tolist()])
@@ -451,6 +466,8 @@ class LiouvilleParams:
 def _root(h, y: float) -> float:
     """x > 0 with h(x) = y for an increasing h: a bracket stepped out from
     x = 1 by factors of 8, then brentq to a relative tolerance."""
+    from scipy import optimize  # here, so that importing the package skips it
+
     f = lambda x: h(x) - y
     x, fx = 1.0, f(1.0)
     step = 8.0 if fx < 0 else 0.125

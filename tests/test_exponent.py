@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
 
+from opertail import kernels, liouville
 from opertail import (DiagExponent, DivergentIntegralError, InvertedDirichlet,
                       LiouvilleParams, Region, exponent_function,
                       exponent_mixed_derivative_defect, intensity_measure,
@@ -181,6 +182,17 @@ class TestOrthantConvergence:
                                    [10.0, 100.0, 1000.0], n=2 * 10 ** 5, seed=5)
         gaps = [abs(r.estimate - r.target) for r in rows]
         assert gaps[-1] < gaps[0]
+
+    def test_block_counts_equal_one_count(self, p2, E2):
+        # hits are counted block by block; one count over all of t^{-E} X agrees
+        n = 2 * 10 ** 5
+        assert n > 3 * liouville._BLOCK_ROWS
+        B = Region.upper_orthant([0.5, 2.0])
+        rows = orthant_convergence(p2, E2, B, [3.0, 30.0], n=n, seed=4)
+        x = p2.sample(n, seed=4)
+        for row in rows:
+            y = x / row.t ** E2.as_array()
+            assert row.hits == kernels.count_in_region(y, np.array(B.w), B.kind) > 0
 
     def test_zero_hits_verdict(self, p2, E2):
         rows = orthant_convergence(p2, E2, Region.upper_orthant([1.0, 1.0]),

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 from scipy.special import betainc, betaincc, betaln, gammainc, gammaincc
 
+from opertail import liouville
 from opertail import (DiagExponent, GenericRV, IntegrabilityError,
                       InvertedDirichlet, LiouvilleParams,
                       NotOperatorRegularlyVarying, Rapid, copula_density,
@@ -284,6 +286,40 @@ class TestSampling:
     def test_rejects_bad_n(self, p2):
         with pytest.raises(ValueError):
             p2.sample(0, seed=1)
+
+    @staticmethod
+    def _one_shot(p, n, seed):
+        # the sampler over whole arrays: all gammas, then all uniforms
+        rng = np.random.Generator(np.random.Philox(seed))
+        gam = rng.standard_gamma(np.asarray(p.a), size=(n, p.dim))
+        d = gam / gam.sum(axis=1, keepdims=True)
+        u = np.clip(rng.random(n), 1e-16, 1.0 - 1e-16)
+        r = p.radial_quantile(u)
+        return r[:, None] * d
+
+    @pytest.mark.parametrize("a, g", [((1.0, 1.0, 0.5), InvertedDirichlet(3.0)),
+                                      ((1.0, 2.0), Rapid())],
+                             ids=["inverted-dirichlet", "rapid"])
+    def test_blocks_bitwise_equal_one_shot(self, a, g):
+        p = LiouvilleParams(a, g)
+        n = 3 * liouville._BLOCK_ROWS + 123  # three full blocks and a partial one
+        assert np.array_equal(p.sample(n, seed=8), self._one_shot(p, n, 8))
+
+    def test_generic_rv_blocks_bitwise_equal_one_shot(self, monkeypatch):
+        monkeypatch.setattr(liouville, "_BLOCK_ROWS", 4)
+        p = LiouvilleParams([1.0, 1.0], GenericRV(3.0, 1.0))
+        assert np.array_equal(p.sample(14, seed=8), self._one_shot(p, 14, 8))
+
+    def test_working_memory_is_output_plus_a_block(self, p2):
+        # numpy reports its allocations to tracemalloc, so the peak is exact;
+        # a sampler over whole arrays peaks at about 4 times the output
+        tracemalloc.start()
+        try:
+            x = p2.sample(10 ** 6, seed=11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * x.nbytes
 
 
 class TestMarginals:

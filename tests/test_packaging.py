@@ -44,6 +44,20 @@ def test_benchmark_tracing_installs():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def test_cli_import_leaves_out_quadrature_and_root_finding():
+    # scipy.integrate and scipy.optimize load where they are used, so the
+    # closed-form paths (here a sample) need only numpy and scipy.special
+    code = ("import sys; sys.path.insert(0, 'src')\n"
+            "import opertail.cli\n"
+            "from opertail import InvertedDirichlet, LiouvilleParams\n"
+            "LiouvilleParams([1.0, 1.0], InvertedDirichlet(3.0)).sample(10, 1)\n"
+            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_cli_bad_config_exits_2_without_traceback(tmp_path):
     # exit 1 means a failed check; a crash would exit 1 too, which only a
     # separate process shows
