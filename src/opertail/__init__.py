@@ -2,7 +2,7 @@
 closed-form test bed: evaluation, sampling, estimation, and cross-checks."""
 
 from .copulatail import (CompatibilityResult, EmpiricalTailEstimate,
-                         MarginalFrame, TailDensityForm, TailOrder,
+                         MarginalFrame, TailDensityForm,
                          compatibility_defect, copula_density,
                          copula_tail_to_density, density_to_copula_tail,
                          empirical_tail_density, group_invariance_defect,
@@ -16,7 +16,6 @@ from .liouville import (DrivingFunction, GenericRV, IntegrabilityError,
                         InvertedDirichlet, LiouvilleParams,
                         NotOperatorRegularlyVarying, Rapid, driving_from_dict)
 from .opscale import DiagExponent
-from .regvar import (RVSpec, TailIndexEstimate, at_zero, hill_estimate,
-                     karamata_defect)
+from .regvar import TailIndexEstimate, hill_estimate, karamata_defect
 
 __version__ = "0.1.0"

@@ -31,23 +31,6 @@ from .opscale import DiagExponent
 
 
 @dataclass(frozen=True)
-class TailOrder:
-    """Per-coordinate tail orders kappa_i > 0."""
-
-    kappa: tuple
-
-    def __init__(self, kappa: Sequence[float]):
-        kap = tuple(float(v) for v in np.atleast_1d(np.asarray(kappa, dtype=float)))
-        if any(v <= 0 or not math.isfinite(v) for v in kap):
-            raise ValueError("tail orders must be positive and finite")
-        object.__setattr__(self, "kappa", kap)
-
-    @property
-    def total(self):
-        return float(sum(self.kappa))
-
-
-@dataclass(frozen=True)
 class TailDensityForm:
     """Closed-form tail density coef*(sum_{i in S} w^{p_i})^q * prod w^{s_i}.
 
@@ -198,6 +181,17 @@ def liouville_marginal_frame(p: LiouvilleParams, E: DiagExponent) -> MarginalFra
 # ---------------------------------------------------------------------------
 # Jacobian transforms between frames
 
+def _frame_point(frame: MarginalFrame, v, name: str):
+    """(v, alphas) as arrays, v one point or a batch of the frame's dimension."""
+    v, al = np.asarray(v, dtype=float), np.asarray(frame.alphas)
+    if v.shape[-1:] != al.shape:
+        raise ValueError(f"{name} of shape {v.shape} needs {len(al)} coordinates, "
+                         "one per marginal tail index")
+    if np.any(v <= 0):
+        raise ValueError(f"{name} must be strictly positive")
+    return v, al
+
+
 def density_to_copula_tail(lam: Callable[[np.ndarray], float],
                            frame: MarginalFrame, w):
     """Original-frame limit -> copula-frame tail density at w, through the
@@ -207,10 +201,7 @@ def density_to_copula_tail(lam: Callable[[np.ndarray], float],
 
     ``lam`` takes one point ``(d,)``, giving a float, or a batch ``(..., d)``.
     """
-    w = np.asarray(w, dtype=float)
-    if np.any(w <= 0):
-        raise ValueError("w must be strictly positive")
-    al = np.asarray(frame.alphas)
+    w, al = _frame_point(frame, w, "w")
     out = lam(w ** (-1.0 / al)) * (w ** (-(al + 1.0) / al) / al).prod(axis=-1)
     return float(out) if w.ndim == 1 else out
 
@@ -222,10 +213,7 @@ def copula_tail_to_density(lam_c: Callable[[np.ndarray], float],
 
         lambda(x) = lambda_C(x^{-alpha}) * prod alpha_i x_i^{-alpha_i - 1}.
     """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("x must be strictly positive")
-    al = np.asarray(frame.alphas)
+    x, al = _frame_point(frame, x, "x")
     out = lam_c(x ** (-al)) * (al * x ** (-al - 1.0)).prod(axis=-1)
     return float(out) if x.ndim == 1 else out
 
@@ -239,32 +227,32 @@ _CONVERGE_TOL = 0.005
 def empirical_tail_density(c: Callable[[np.ndarray], float],
                            r: Sequence[Callable[[float], float]],
                            ell: Callable[[float], float],
-                           kappa: TailOrder,
+                           kappa: Sequence[float],
                            w,
-                           u_grid: Sequence[float],
-                           side: str = "upper") -> EmpiricalTailEstimate:
-    """Estimate the tail density of the copula density evaluator ``c`` at w.
-
-    Upper side evaluates c(1 - r_i(u) w_i, ...); lower side (survival-copula
-    orientation) evaluates c(r_i(u) w_i, ...). Estimates are divided by
-    u^{1 - sum kappa_i} ell(u) and extrapolated with one first-order
-    Richardson step on the two smallest u values. ``r_i`` and ``ell`` are
-    called once on the u-grid ``(m,)``, and ``c`` once on the ``(m, d)`` batch.
+                           u_grid: Sequence[float]) -> EmpiricalTailEstimate:
+    """Estimate the upper tail density of the copula density evaluator ``c``
+    at w: c(1 - r_1(u) w_1, ..., 1 - r_d(u) w_d) / (u^{1 - sum kappa_i} ell(u))
+    on the u-grid, extrapolated with one first-order Richardson step on the
+    two smallest u values. ``kappa`` (each kappa_i > 0), ``w`` and ``r`` take
+    one entry per coordinate; ``r_i`` and ``ell`` are called once on the
+    u-grid ``(m,)``, and ``c`` once on the ``(m, d)`` batch.
     """
-    if side not in ("upper", "lower"):
-        raise ValueError("side must be 'upper' or 'lower'")
+    kappa = np.asarray(kappa, dtype=float)
     w = np.asarray(w, dtype=float)
+    if not (w.ndim == 1 and kappa.shape == w.shape == (len(r),)):
+        raise ValueError("kappa, w and r need one entry per coordinate")
+    if not np.all((kappa > 0) & np.isfinite(kappa)):
+        raise ValueError("tail orders must be positive and finite")
     u_grid = np.asarray(u_grid, dtype=float)
     if u_grid.ndim != 1 or len(u_grid) < 2 or np.any(np.diff(u_grid) >= 0):
         raise ValueError("u_grid must be decreasing with at least two points")
     if np.any(u_grid <= 0):
         raise ValueError("u values must be positive")
-    scaled = np.column_stack([ri(u_grid) for ri in r]) * w
-    args = 1.0 - scaled if side == "upper" else scaled
+    args = 1.0 - np.column_stack([ri(u_grid) for ri in r]) * w
     outside = np.any((args <= 0) | (args >= 1), axis=-1)
     if outside.any():
         raise ValueError(f"scaled arguments left (0,1)^d at u={u_grid[outside.argmax()]:g}")
-    estimates = c(args) / (u_grid ** (1.0 - kappa.total) * ell(u_grid))
+    estimates = c(args) / (u_grid ** (1.0 - kappa.sum()) * ell(u_grid))
     u1, u2 = u_grid[-2], u_grid[-1]
     e1, e2 = estimates[-2], estimates[-1]
     limit = e2 + (e2 - e1) * u2 / (u1 - u2)
@@ -326,8 +314,8 @@ def compatibility_defect(r: Callable[[float], float],
     other than 1 is reported separately from outright divergence.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be increasing")
+    if t_grid.ndim != 1 or len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
+        raise ValueError("t_grid must be increasing with at least two points")
     ratios = r(1.0 / t_grid) / survival(t_grid ** (rho_i / alpha_i))
     defects = np.abs(ratios - 1.0)
     if defects[-1] < _COMPAT_TOL:

@@ -154,23 +154,25 @@ class LiouvilleParams:
                   - math.log(self.radial_norm))
         self.norm_const = math.exp(log_cf)
 
+    def _diverges(self, order: float) -> bool:
+        """Whether int^inf s^{order-1} g(s) ds (at order A, the radial norm) diverges:
+        order > beta, or order = beta with log_power >= -1; never for ``Rapid``."""
+        beta, log_power = self.g.rv_index, getattr(self.g, "log_power", 0.0)
+        return beta is not None and (order > beta or (order == beta and log_power >= -1))
+
     def _radial_norm(self) -> float:
         A = self.total_shape
+        if not isinstance(self.g, (InvertedDirichlet, GenericRV, Rapid)):
+            raise TypeError(f"unsupported driving function {self.g!r}")
+        if self._diverges(A):
+            raise IntegrabilityError(
+                f"integrability violated: need sum(a) < {self.g.rv_index}, or "
+                f"equality with log_power < -1 (sum(a) = {A})")
         if isinstance(self.g, InvertedDirichlet):
-            if self.g.theta <= A:
-                raise IntegrabilityError(
-                    f"integrability violated: need theta > sum(a) "
-                    f"({self.g.theta} <= {A})")
             return math.exp(special.betaln(A, self.g.theta - A))
         if isinstance(self.g, Rapid):
             return math.exp(special.gammaln(A))
-        if isinstance(self.g, GenericRV):
-            if self.g.beta < A or (self.g.beta == A and self.g.log_power >= -1):
-                raise IntegrabilityError(
-                    f"integrability violated: need beta > sum(a) "
-                    f"({self.g.beta} vs {A})")
-            return _quad(lambda t: t ** (A - 1) * float(self.g(t)), 0.0, np.inf)[0]
-        raise TypeError(f"unsupported driving function {self.g!r}")
+        return _quad(lambda t: t ** (A - 1) * float(self.g(t)), 0.0, np.inf)[0]
 
     # -- serialization ----------------------------------------------------
 
@@ -188,8 +190,11 @@ class LiouvilleParams:
 
     def joint_density(self, x):
         """c_f * g(sum x_i) * prod x_i^{a_i - 1} at one point ``(d,)``, as a float,
-        or at each point of a batch ``(..., d)``, as an array; see ``_kernel``."""
-        return self._kernel(x, slice(None), self.g)
+        or at each point of a batch ``(..., d)``, as an array; see ``_kernel``.
+        0, the limit, where some x_i = inf and all x_j > 0 (0 * inf gives NaN)."""
+        out, x = self._kernel(x, slice(None), self.g), np.asarray(x, dtype=float)
+        out = np.where(np.any(np.isinf(x), axis=-1) & np.all(x > 0, axis=-1), 0.0, out)
+        return float(out) if x.ndim == 1 else out
 
     def _kernel(self, x, idx, h):
         """c_f * h(sum_{i in idx} x_i) * prod x_i^{a_i - 1} over the last axis of
@@ -349,8 +354,8 @@ class LiouvilleParams:
         """
         if order < 0:
             raise ValueError("order must be non-negative")
-        beta, log_power = self.g.rv_index, getattr(self.g, "log_power", 0.0)
-        if beta is not None and (order > beta or (order == beta and log_power >= -1)):
+        beta = self.g.rv_index
+        if self._diverges(order):
             raise ValueError(f"W^{order} g diverges: need order < {beta}, "
                              f"or order = {beta} with log_power < -1")
         x = np.asarray(x, dtype=float)
@@ -386,15 +391,16 @@ class LiouvilleParams:
     def marginal_density(self, i: int, x):
         """f_i(x) = kappa_i * W^{a^{(i)}} g(x) * x^{a_i - 1}, a^{(i)} = sum_{j != i} a_j:
         the BetaPrime(a_i, theta - A) or Gamma(a_i) density for the closed
-        drivers, through the closed ``weyl_integral``."""
+        drivers, through the closed ``weyl_integral``; 0, its limit, at x = inf."""
         self._check_margin(i)
         x = np.asarray(x, dtype=float)
         if not np.all(x >= 0):
             raise ValueError("x must be non-negative")
-        ai = self.a[i]
-        weyl = self.weyl_integral(self.total_shape - ai, x)
+        ai, inner = self.a[i], x < math.inf
+        out = np.zeros(x.shape)
+        weyl = self.weyl_integral(self.total_shape - ai, x[inner])
         with np.errstate(divide="ignore"):  # 0 ** (a_i - 1) is inf for a_i < 1
-            out = self._shape_norm(ai) * weyl * x ** (ai - 1.0)
+            out[inner] = self._shape_norm(ai) * weyl * x[inner] ** (ai - 1.0)
         return float(out) if out.ndim == 0 else out
 
     def _marginal_survival(self, i: int, x):

@@ -1,14 +1,11 @@
-"""Parametric regularly-varying functions and tail-index diagnostics.
+"""Tail-index diagnostics for regularly varying margins.
 
-The working family is V(t) = c * t^rho * log(e + t)^gamma, which is closed
-under the pointwise products arising in the tail-normalizer constructions
-and covers every slowly varying factor used by the closed forms (constants
-and log powers). Regular variation *at zero* is represented through the
-substitution t -> 1/u: a function r with r(u) ~ u^kappa * slowly-varying
-as u -> 0 is ``at_zero(RVSpec(c, -kappa, gamma))``.
-
-Also provides the finite-t defect of Karamata's relation and a Hill
-estimator used as the sample-based tail-index oracle.
+``karamata_defect`` measures how far a density and its survival function
+are from Karamata's relation t f(t) ~ alpha Fbar(t) at a finite t, and
+``hill_estimate`` is the Hill estimator of a sample's tail index alpha,
+the sample-based oracle for the marginal tail indices. The tail
+normalizers r_i and ell of ``copulatail.empirical_tail_density`` are
+plain callables, r_i(u) = u for instance.
 """
 
 from __future__ import annotations
@@ -20,29 +17,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .kernels import hill_log_sum
-
-
-@dataclass(frozen=True)
-class RVSpec:
-    """V(t) = c * t^rho * log(e + t)^gamma, regularly varying with index rho."""
-
-    c: float = 1.0
-    rho: float = 0.0
-    gamma: float = 0.0
-
-    def __post_init__(self):
-        if not (self.c > 0 and math.isfinite(self.c)):
-            raise ValueError(f"scale c must be positive and finite, got {self.c}")
-        if not (math.isfinite(self.rho) and math.isfinite(self.gamma)):
-            raise ValueError("rho and gamma must be finite")
-
-    def __call__(self, t):
-        """V(t) for t > 0: a float for a scalar t, an array for an array."""
-        t = np.asarray(t, dtype=float)
-        if not np.all(t > 0):
-            raise ValueError("RVSpec requires t > 0")
-        out = self.c * t ** self.rho * np.log(np.e + t) ** self.gamma
-        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -58,14 +32,6 @@ class TailIndexEstimate:
             raise ValueError(f"need 1 <= k < n, got k={self.k}, n={self.n}")
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-
-
-def at_zero(spec: RVSpec) -> Callable[[float], float]:
-    """The same spec read at zero: r(u) = V(1/u), so r in RV_{-rho}(0).
-
-    ``at_zero(RVSpec(rho=-kappa))`` gives the canonical r(u) = u^kappa.
-    """
-    return lambda u: spec(1.0 / np.asarray(u, dtype=float))
 
 
 def karamata_defect(density: Callable[[float], float],

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import copulatail, exponent, regvar
-from .copulatail import TailOrder
 from .exponent import Region
 from .liouville import InvertedDirichlet, LiouvilleParams
 from .opscale import DiagExponent
@@ -97,12 +96,13 @@ def suite_empirical_vs_closed(dim: int = 2) -> list:
     else:
         raise ValueError("dim must be 2 or 3")
     r = [lambda u: u] * p.dim
-    kappa = TailOrder([1.0] * p.dim)
+    lam_c = copulatail.liouville_copula_tail_form(p, E)
     worst = 0.0
     for w in grid:
         est = copulatail.empirical_tail_density(
-            lambda u: copulatail.copula_density(p, u), r, lambda u: 1.0, kappa, w, u_grid)
-        closed = copulatail.liouville_copula_tail_form(p, E)(w)
+            lambda u: copulatail.copula_density(p, u), r, lambda u: 1.0, lam_c.kappa,
+            w, u_grid)
+        closed = lam_c(w)
         worst = max(worst, abs(est.limit - closed) / closed)
     return [CheckResult(f"empirical-vs-closed-d{dim}", worst < tol, worst, tol)]
 

@@ -14,8 +14,8 @@ from scipy import integrate, stats
 
 from opertail import (DiagExponent, IntegrabilityError,
                       InvertedDirichlet, LiouvilleParams,
-                      NotOperatorRegularlyVarying, Rapid, Region, RVSpec,
-                      at_zero, compatibility_defect, intensity_measure,
+                      NotOperatorRegularlyVarying, Rapid, Region,
+                      compatibility_defect, intensity_measure,
                       liouville_copula_tail_form, verify)
 
 
@@ -176,7 +176,7 @@ def test_criterion_9_negative_controls(capsys, p2):
     res = intensity_measure(lam_c, Region.box_complement([1.0, 1.0]))
     msgs.append(res.verdict == "divergent")
 
-    diag = compatibility_defect(at_zero(RVSpec(1.0, -2.0, 0.0)),  # r(u) = u^2
+    diag = compatibility_defect(lambda u: u ** 2,
                                 lambda t: 1.0 / (1.0 + t), 1.0, 1.0,
                                 np.logspace(1, 6, 6))
     msgs.append(diag.verdict == "incompatible")

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from opertail import (DiagExponent, GenericRV, InvertedDirichlet, LiouvilleParams,
-                      MarginalFrame, RVSpec, TailOrder,
-                      at_zero, compatibility_defect, copula_density,
+                      MarginalFrame, compatibility_defect, copula_density,
                       copula_tail_to_density, density_to_copula_tail,
                       empirical_tail_density, exponent_function,
                       group_invariance_defect,
@@ -235,6 +234,18 @@ class TestTransforms:
         assert liouville_marginal_frame(p2, DiagExponent([1.0, 2.0])).alphas \
             == pytest.approx((3.0, 1.5))
 
+    @pytest.mark.parametrize("alphas", [[2.0], [1.0, 1.0, 1.0]])
+    def test_transforms_reject_frame_of_other_dimension(self, p2, E2, alphas):
+        # a 1-entry frame would broadcast to alpha = (2, 2) on a 2-d point
+        frame = MarginalFrame(alphas)
+        lam = liouville_limit_form(p2, E2)
+        lam_c = liouville_copula_tail_form(p2, E2)
+        for transform, form in ((density_to_copula_tail, lam),
+                                (copula_tail_to_density, lam_c)):
+            for v in ([1.0, 2.0], [[1.0, 2.0], [0.5, 1.0]]):
+                with pytest.raises(ValueError, match="one per marginal tail index"):
+                    transform(form, frame, v)
+
     def test_transform_rejects_nonpositive(self, p2, E2):
         frame = liouville_marginal_frame(p2, E2)
         lam = liouville_limit_form(p2, E2)
@@ -245,8 +256,8 @@ class TestTransforms:
 class TestEmpiricalTailDensity:
     def test_single_step_value(self, p2):
         c = lambda u: copula_density(p2, u)
-        r = [at_zero(RVSpec(1.0, -1.0, 0.0))] * 2
-        est = empirical_tail_density(c, r, lambda u: 1.0, TailOrder([1.0, 1.0]),
+        r = [lambda u: u] * 2
+        est = empirical_tail_density(c, r, lambda u: 1.0, [1.0, 1.0],
                                      [1.0, 1.0], [1e-2, 1e-3])
         # at u = 1e-3 the exact finite-u value is 2 (2 - u)^{-3}
         assert est.estimates[-1] == pytest.approx(2.0 * (2.0 - 1e-3) ** -3.0,
@@ -255,16 +266,16 @@ class TestEmpiricalTailDensity:
 
     def test_limit_w11(self, p2):
         c = lambda u: copula_density(p2, u)
-        r = [at_zero(RVSpec(1.0, -1.0, 0.0))] * 2
-        est = empirical_tail_density(c, r, lambda u: 1.0, TailOrder([1.0, 1.0]),
+        r = [lambda u: u] * 2
+        est = empirical_tail_density(c, r, lambda u: 1.0, [1.0, 1.0],
                                      [1.0, 1.0], np.logspace(-2, -6, 5))
         assert est.verdict == "converged"
         assert est.limit == pytest.approx(0.25, rel=1e-3)
 
     def test_limit_w12(self, p2):
         c = lambda u: copula_density(p2, u)
-        r = [at_zero(RVSpec(1.0, -1.0, 0.0))] * 2
-        est = empirical_tail_density(c, r, lambda u: 1.0, TailOrder([1.0, 1.0]),
+        r = [lambda u: u] * 2
+        est = empirical_tail_density(c, r, lambda u: 1.0, [1.0, 1.0],
                                      [1.0, 2.0], np.logspace(-2, -6, 5))
         assert est.verdict == "converged"
         assert est.limit == pytest.approx(2.0 * 1.5 ** -3.0 * 0.25, rel=5e-3)
@@ -278,27 +289,47 @@ class TestEmpiricalTailDensity:
         c = counted("c", lambda u: copula_density(p2, u))
         r = [counted("r", lambda u: u)] * 2
         est = empirical_tail_density(c, r, counted("ell", lambda u: np.ones_like(u)),
-                                     TailOrder([1.0, 1.0]), [1.0, 2.0],
+                                     [1.0, 1.0], [1.0, 2.0],
                                      np.logspace(-2, -6, 5))
         assert sorted(calls) == [("c", (5, 2)), ("ell", (5,)), ("r", (5,)), ("r", (5,))]
         assert est.estimates.shape == (5,)
 
     def test_lower_side_independence_mismatch(self):
+        # c = 1 is the same at both corners; with kappa = (1, 1) the estimates
+        # 1 / u^{1 - 2} = u keep a log-log slope of 1
         c = lambda u: 1.0
-        r = [at_zero(RVSpec(1.0, -1.0, 0.0))] * 2
-        est = empirical_tail_density(c, r, lambda u: 1.0, TailOrder([1.0, 1.0]),
-                                     [1.0, 1.0], np.logspace(-2, -5, 4),
-                                     side="lower")
+        r = [lambda u: u] * 2
+        est = empirical_tail_density(c, r, lambda u: 1.0, [1.0, 1.0],
+                                     [1.0, 1.0], np.logspace(-2, -5, 4))
+        np.testing.assert_allclose(est.estimates, np.logspace(-2, -5, 4), rtol=1e-12)
         assert est.verdict == "tail order mismatch"
+
+    @pytest.mark.parametrize("kappa, w, nr", [
+        ([1.0], [1.0, 1.0], 2),        # one tail order on a 2-d point
+        ([1.0, 1.0, 1.0], [1.0, 1.0], 2),
+        ([1.0, 1.0], [1.0, 1.0], 1),   # one normalizer for two coordinates
+        ([1.0, 1.0], [[1.0, 1.0]], 2),
+    ])
+    def test_rejects_misshapen_kappa_w_r(self, p2, kappa, w, nr):
+        with pytest.raises(ValueError, match="one entry per coordinate"):
+            empirical_tail_density(lambda u: copula_density(p2, u), [lambda u: u] * nr,
+                                   lambda u: 1.0, kappa, w, [1e-2, 1e-3])
+
+    @pytest.mark.parametrize("kappa", [[1.0, 0.0], [1.0, -1.0], [1.0, math.inf],
+                                       [1.0, math.nan]])
+    def test_rejects_nonpositive_kappa(self, p2, kappa):
+        with pytest.raises(ValueError, match="positive and finite"):
+            empirical_tail_density(lambda u: copula_density(p2, u), [lambda u: u] * 2,
+                                   lambda u: 1.0, kappa, [1.0, 1.0], [1e-2, 1e-3])
 
     def test_grid_validation(self, p2):
         c = lambda u: copula_density(p2, u)
-        r = [at_zero(RVSpec(1.0, -1.0, 0.0))] * 2
+        r = [lambda u: u] * 2
         with pytest.raises(ValueError):
-            empirical_tail_density(c, r, lambda u: 1.0, TailOrder([1.0, 1.0]),
+            empirical_tail_density(c, r, lambda u: 1.0, [1.0, 1.0],
                                    [1.0, 1.0], [1e-3, 1e-2])
         with pytest.raises(ValueError, match="left"):
-            empirical_tail_density(c, r, lambda u: 1.0, TailOrder([1.0, 1.0]),
+            empirical_tail_density(c, r, lambda u: 1.0, [1.0, 1.0],
                                    [2000.0, 1.0], [0.5, 1e-3])
 
 
@@ -328,7 +359,7 @@ class TestFractionalShapeScaling:
         est = empirical_tail_density(lambda u: copula_density(p, u),
                                      [lambda u, ci=ci: ci * u for ci in self.C],
                                      lambda u: 1.0 / (self.C[0] * self.C[1]),
-                                     TailOrder([1.0, 1.0]), w, [1e-4, 1e-5, 1e-6])
+                                     [1.0, 1.0], w, [1e-4, 1e-5, 1e-6])
         assert est.verdict == "converged"
         assert est.limit == pytest.approx(form(w), rel=0.01)
         # relative to r = u the finite-u value stays off the form: 0.0777 vs 0.0597
@@ -353,6 +384,11 @@ class TestFractionalShapeScaling:
 
 
 class TestCompatibility:
+    @pytest.mark.parametrize("t_grid", [[], [10.0], [[10.0, 100.0]]])
+    def test_rejects_short_grid(self, t_grid):
+        with pytest.raises(ValueError, match="at least two points"):
+            compatibility_defect(lambda u: u, lambda t: 1.0 / (1.0 + t), 1.0, 1.0, t_grid)
+
     def test_matched_margin(self):
         diag = compatibility_defect(lambda u: u, lambda t: 1.0 / (1.0 + t),
                                     1.0, 1.0, np.logspace(1, 6, 6))
@@ -374,11 +410,6 @@ class TestCompatibility:
 
 
 class TestSerialization:
-    def test_tail_order_validation(self):
-        with pytest.raises(ValueError):
-            TailOrder([1.0, 0.0])
-        assert TailOrder([1.0, 2.0]).total == 3.0
-
     def test_marginal_frame_validation(self):
         with pytest.raises(ValueError):
             MarginalFrame([1.0, -1.0])

@@ -1,5 +1,7 @@
+import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +49,29 @@ class TestNormalization:
     def test_generic_rv_integrability(self):
         with pytest.raises(IntegrabilityError, match="integrability violated"):
             LiouvilleParams([1.0, 1.0], GenericRV(1.5))
+
+    @pytest.mark.parametrize("beta", [2.0, 3.0])
+    @pytest.mark.parametrize("log_power", [-2.0, -1.0, 0.0, 1.0])
+    def test_one_integrability_rule(self, beta, log_power):
+        # int^inf s^{m-1} g(s) ds diverges iff m > beta, or m = beta with
+        # log_power >= -1; the radial norm (order A) and W^m g share that rule
+        drivers = [GenericRV(beta, log_power)] + [InvertedDirichlet(beta)] * (log_power == 0)
+        for g, m in itertools.product(drivers, (beta - 0.5, beta, beta + 0.5)):
+            diverges = m > beta or (m == beta and log_power >= -1)
+            with warnings.catch_warnings():  # only the verdict counts here
+                warnings.simplefilter("ignore", integrate.IntegrationWarning)
+                try:
+                    LiouvilleParams([m], g)
+                except IntegrabilityError as e:
+                    assert diverges and "integrability violated" in str(e)
+                else:
+                    assert not diverges
+                try:
+                    LiouvilleParams([0.5], g).weyl_integral(m, 1.0)
+                except ValueError as e:
+                    assert diverges and "diverges" in str(e)
+                else:
+                    assert not diverges
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -245,6 +270,24 @@ class TestInputDomain:
         assert p.radial_cdf(math.inf) == 1.0
         got = p.radial_cdf([0.5, math.inf])
         assert got[1] == 1.0 and got[0] == p.radial_cdf(0.5)
+
+
+    # at x_i = inf, g is 0 and x_i^(a_i - 1) is inf wherever a_i > 1
+    INF_CASES = {"generic_rv": ([1.0, 1.0], GenericRV(3.0, 1.0)),
+                 "inverted_dirichlet": ([2.0, 1.0], InvertedDirichlet(4.0)),
+                 "rapid": ([2.0, 1.0], Rapid())}
+
+    @pytest.mark.parametrize("a, g", INF_CASES.values(), ids=INF_CASES.keys())
+    def test_densities_vanish_at_infinity(self, a, g):
+        p = LiouvilleParams(a, g)
+        assert p.joint_density([math.inf, 1.0]) == 0.0
+        assert p.joint_density([0.5, math.inf]) == 0.0
+        got = p.joint_density([[math.inf, 1.0], [0.5, 2.0], [math.inf, math.inf]])
+        np.testing.assert_array_equal(got, [0.0, p.joint_density([0.5, 2.0]), 0.0])
+        for i in range(2):
+            assert p.marginal_density(i, math.inf) == 0.0
+            got = p.marginal_density(i, [2.0, math.inf])
+            assert got[1] == 0.0 and got[0] == p.marginal_density(i, 2.0)
 
 
 class TestSampling:

@@ -58,6 +58,17 @@ def test_cli_import_leaves_out_quadrature_and_root_finding():
     assert proc.stdout.strip() == "[]"
 
 
+def test_readme_quick_start_runs():
+    # the README's Python quick start, verbatim, in a fresh interpreter: a
+    # renamed or deleted API, or a RuntimeWarning, fails it
+    readme = (ROOT / "README.md").read_text()
+    code = re.search(r"## Quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_cli_bad_config_exits_2_without_traceback(tmp_path):
     # exit 1 means a failed check; a crash would exit 1 too, which only a
     # separate process shows

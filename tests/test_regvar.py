@@ -4,75 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from opertail import RVSpec, at_zero, hill_estimate, karamata_defect, verify
-
-
-def ratio_defects(V, rho, x, t_grid):
-    """|V(t x) / V(t) - x^rho| along t_grid, the defect of V in RV_rho."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    return np.abs(V(t_grid * x) / V(t_grid) - x ** rho)
-
-
-class TestEvalRV:
-    def test_pure_power(self):
-        assert RVSpec(1.0, -1.0, 0.0)(100.0) == pytest.approx(0.01)
-
-    def test_at_one(self):
-        spec = RVSpec(3.0, 2.0, 1.5)
-        assert spec(1.0) == pytest.approx(3.0 * math.log(math.e + 1) ** 1.5)
-
-    def test_scaled_power(self):
-        assert RVSpec(2.0, -3.0, 0.0)(10.0) == pytest.approx(0.002)
-
-    def test_rejects_nonpositive_t(self):
-        for t in (0.0, -1.0, math.nan, [1.0, math.nan]):
-            with pytest.raises(ValueError):
-                RVSpec()(t)
-
-    def test_rejects_bad_scale(self):
-        with pytest.raises(ValueError):
-            RVSpec(c=0.0)
-
-    def test_at_zero_reading(self):
-        r = at_zero(RVSpec(1.0, -1.0, 0.0))  # canonical r(u) = u
-        assert r(1e-3) == pytest.approx(1e-3)
-
-
-class TestRatioLimitDefect:
-    """The defect |V(t x)/V(t) - x^rho| of an RVSpec along growing t."""
-
-    def test_exact_power(self):
-        defects = ratio_defects(RVSpec(1.0, -1.0, 0.0), -1.0, 2.0, np.logspace(1, 8, 8))
-        np.testing.assert_allclose(defects, 0.0, atol=1e-12)
-
-    def test_log_factor(self):
-        # V(t) = log(e + t)/t: the defect is 0.5 |log(e + 2t)/log(e + t) - 1|,
-        # which decays like 0.5 log(2)/log(t); at t = 1e6 that is ~0.0251
-        defects = ratio_defects(RVSpec(1.0, -1.0, 1.0), -1.0, 2.0, np.logspace(2, 6, 5))
-        assert defects[-1] == pytest.approx(
-            0.5 * abs(math.log(math.e + 2e6) / math.log(math.e + 1e6) - 1.0), rel=1e-9)
-        assert defects[-1] < defects[0]
-        assert defects[-1] < 0.05
-
-    @pytest.mark.parametrize("x", [0.5, 2.0])
-    def test_rvspec_pure_power_below_1e4_by_1e8(self, x):
-        defects = ratio_defects(RVSpec(1.3, -2.0, 0.0), -2.0, x, np.logspace(2, 8, 7))
-        assert np.all(defects < 1e-12 * x ** -2.0)
-
-    @pytest.mark.parametrize("x", [0.5, 2.0])
-    def test_rvspec_log_factor_monotone(self, x):
-        # log-factor defects decay only like 1/log t and carry an x^rho scale
-        spec = RVSpec(1.3, -2.0, 1.0)
-        defects = ratio_defects(spec, spec.rho, x, np.logspace(2, 8, 7))
-        assert np.all(np.diff(defects) < 0)
-        assert defects[-1] < 0.05 * x ** spec.rho
-
-    def test_product_closure_indices_add(self):
-        a, b = RVSpec(1.0, -1.0, 1.0), RVSpec(2.0, -0.5, 0.0)
-        defects = ratio_defects(lambda t: a(t) * b(t), a.rho + b.rho, 2.0,
-                                np.logspace(3, 8, 6))
-        assert np.all(np.diff(defects) < 0)
-        assert defects[-1] < 0.05
+from opertail import hill_estimate, karamata_defect, verify
 
 
 class TestKaramataDefect:
