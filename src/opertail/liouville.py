@@ -24,7 +24,6 @@ above, so that neither tail cancels.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence, Union
@@ -168,11 +167,7 @@ class LiouvilleParams:
             raise IntegrabilityError(
                 f"integrability violated: need sum(a) < {self.g.rv_index}, or "
                 f"equality with log_power < -1 (sum(a) = {A})")
-        if isinstance(self.g, InvertedDirichlet):
-            return math.exp(special.betaln(A, self.g.theta - A))
-        if isinstance(self.g, Rapid):
-            return math.exp(special.gammaln(A))
-        return _quad(lambda t: t ** (A - 1) * float(self.g(t)), 0.0, np.inf)[0]
+        return float(self._gamma_weyl(A, 0.0))  # N = Gamma(A) W^A g(0)
 
     # -- serialization ----------------------------------------------------
 
@@ -190,26 +185,28 @@ class LiouvilleParams:
 
     def joint_density(self, x):
         """c_f * g(sum x_i) * prod x_i^{a_i - 1} at one point ``(d,)``, as a float,
-        or at each point of a batch ``(..., d)``, as an array; see ``_kernel``.
-        0, the limit, where some x_i = inf and all x_j > 0 (0 * inf gives NaN)."""
-        out, x = self._kernel(x, slice(None), self.g), np.asarray(x, dtype=float)
-        out = np.where(np.any(np.isinf(x), axis=-1) & np.all(x > 0, axis=-1), 0.0, out)
-        return float(out) if x.ndim == 1 else out
+        or at each point of a batch ``(..., d)``, as an array; see ``_kernel``."""
+        return self._kernel(x, slice(None), self.g)
 
     def _kernel(self, x, idx, h):
         """c_f * h(sum_{i in idx} x_i) * prod x_i^{a_i - 1} over the last axis of
-        x >= 0. At x_i = 0 a factor is 1 if a_i = 1 (x**0 == 1), 0 if a_i > 1
-        and +inf if a_i < 1; the value is +inf wherever a factor or h is."""
+        x >= 0. A factor is +inf at x_i = 0 with a_i < 1 and at an unsummed x_i =
+        inf with a_i > 1 (and 1 at 0**0). The value is +inf where h or a factor
+        at 0 is, and else 0, its limit, where a summed x_i is inf and no factor is."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (self.dim,):
             raise ValueError("dimension mismatch")
         if np.any(x < 0):
             raise ValueError("coordinates must be non-negative")
-        a = np.asarray(self.a)
+        a, summed = np.asarray(self.a), np.zeros(self.dim, dtype=bool)
+        summed[idx] = True
         with np.errstate(divide="ignore", invalid="ignore"):
             head = self.norm_const * h(x[..., idx].sum(axis=-1))
             out = head * (x ** (a - 1)).prod(axis=-1)
-        out = np.where(np.isinf(head) | np.any((x == 0) & (a < 1), axis=-1), math.inf, out)
+        zero_pole = np.any((x == 0) & (a < 1), axis=-1)
+        pole = zero_pole | np.any(np.isinf(x) & ~summed & (a > 1), axis=-1)
+        out = np.where(np.isinf(head) | zero_pole, math.inf, out)
+        out = np.where(np.any(np.isinf(x) & summed, axis=-1) & ~pole, 0.0, out)
         return float(out) if x.ndim == 1 else out
 
     # -- radial part ------------------------------------------------------
@@ -236,17 +233,20 @@ class LiouvilleParams:
         if isinstance(self.g, InvertedDirichlet):
             b = self.g.theta - self.total_shape
 
-            def ratio(u, v, t):  # Y/(1-Y) at the t-quantile of Y ~ Beta(u, v)
+            def ratio(u, v, t):  # Y/(1-Y) at the t-quantile of Y ~ Beta(u, v); y
+                # rounds near 1, so there 1 - y is the (1-t)-quantile of Beta(v, u)
                 y = special.betaincinv(u, v, t)
-                return y / (1.0 - y)
+                one_minus_y, near = 1.0 - y, np.flatnonzero(y > 0.999)
+                one_minus_y[near] = special.betaincinv(v, u, 1.0 - t[near])
+                return y / one_minus_y
 
-            def sf(x):  # keep the beta argument <= 1/2: for tiny x, 1/(1+x) rounds to 1
-                x = np.asarray(x, dtype=float)
-                return np.where(x >= 1.0, special.betainc(b, s, 1.0 / (1.0 + x)),
-                                special.betaincc(s, b, x / (1.0 + x)))
+            def side(below, above):  # beta argument <= 1/2, so that it never rounds to 1
+                return lambda x: np.where(x >= 1.0, above(b, s, 1.0 / (1.0 + x)),
+                                          below(s, b, x / (1.0 + x)))
 
             # 1/X ~ BetaPrime(b, s), so the isf of X is 1/ppf of that law
-            return (lambda x: special.betainc(s, b, x / (1.0 + x)), sf,
+            return (side(special.betainc, special.betaincc),
+                    side(special.betaincc, special.betainc),
                     lambda q: ratio(s, b, q), lambda p: 1.0 / ratio(b, s, p))
         if isinstance(self.g, Rapid):
             return tuple(partial(f, s) for f in (special.gammainc, special.gammaincc,
@@ -344,43 +344,43 @@ class LiouvilleParams:
         or order = beta unless log_power < -1 (the inverted Dirichlet's beta is
         theta, its log_power 0).
 
-        Closed: Gamma(theta-m)/Gamma(theta) * (1+x)^{m-theta} (inverted Dirichlet)
-        and e^{-x} (``Rapid``). For ``GenericRV``, one quadrature per point at
-        every order: with s = x + (1+x) u/(1-u), so 1 + s = (1+x)/(1-u) and the
-        mass sits near u = 1/2 at every x, W^m g(x) = int_0^1 u^{m-1} (1+s)^m
-        g(s)/(1-u) du / Gamma(m), u^{m-1} as quad's algebraic weight and the rest
-        0 at u = 1. At log_power 0 it is within 1.5e-8 of the closed form for
-        beta in {2.5, 4, 7}, m from 0.3 to beta - 0.5 and x in {0} and [1e-3, 1e9].
+        Closed: B(m, theta-m)/Gamma(m) * (1+x)^{m-theta} (inverted Dirichlet) and
+        e^{-x} (``Rapid``). For ``GenericRV``, one quadrature per point over the
+        whole t line, s = x + (1+x) e^t: Gamma(m) W^m g(x) = (1+x)^{m-beta} *
+        int exp(m t - beta softplus(t)) log(e+s)^{log_power} dt, finite everywhere;
+        within 3e-15 of B(m, beta-m) (log_power 0) up to m = beta - 0.05, x = 1e9,
+        and of mpmath within 3e-13 at 300 random (beta, log_power, m, x).
         """
         if order < 0:
             raise ValueError("order must be non-negative")
-        beta = self.g.rv_index
         if self._diverges(order):
-            raise ValueError(f"W^{order} g diverges: need order < {beta}, "
-                             f"or order = {beta} with log_power < -1")
+            raise ValueError(f"W^{order} g diverges: need order < {self.g.rv_index}, "
+                             f"or order = {self.g.rv_index} with log_power < -1")
         x = np.asarray(x, dtype=float)
         if order == 0 or isinstance(self.g, Rapid):  # W^m e^{-x} = e^{-x}
             out = self.g(x)
-        elif isinstance(self.g, InvertedDirichlet):
-            out = (1.0 + x) ** (order - beta) / special.poch(beta - order, order)
         else:
-            def core(u, x):
-                if u == 1.0:
-                    return 0.0
-                s = x + (1.0 + x) * u / (1.0 - u)
-                return float(self.g(s)) * (1.0 + s) ** order / (1.0 - u)
-
-            # deep-tail evaluations sit at the roundoff floor of the pure
-            # relative tolerance; quad's best value there is still accurate
-            # far beyond the tolerances used downstream
-            from scipy.integrate import IntegrationWarning
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", IntegrationWarning)
-                out = np.array([_quad(core, 0.0, 1.0, args=(v,), weight="alg",
-                                      wvar=(order - 1.0, 0.0))[0]
-                                for v in x.ravel().tolist()])
-            out = out.reshape(x.shape) / math.exp(special.gammaln(order))
+            out = self._gamma_weyl(order, x) / math.exp(special.gammaln(order))
         return float(out) if out.ndim == 0 else out
+
+    def _gamma_weyl(self, order: float, x):
+        """Gamma(order) * W^order g(x), order > 0: N = Gamma(A) W^A g(0) is a double
+        where Gamma(A) overflows or W^A g(0) underflows (a = (75, 75), theta = 300)."""
+        beta = self.g.rv_index
+        if isinstance(self.g, Rapid):
+            return math.exp(special.gammaln(order)) * np.exp(-x)
+        if isinstance(self.g, InvertedDirichlet):
+            return math.exp(special.betaln(order, beta - order)) * (1.0 + x) ** (order - beta)
+
+        def core(t, log1p_x):
+            softplus = max(t, 0.0) + math.log1p(math.exp(-abs(t)))
+            log1p_s = log1p_x + softplus  # log(e+s) = log(1+s) + log1p((e-1)/(1+s))
+            log_e_s = log1p_s + math.log1p((math.e - 1.0) * math.exp(-log1p_s))
+            return math.exp(order * t - beta * softplus) * log_e_s ** self.g.log_power
+
+        out = np.array([_quad(core, -math.inf, math.inf, args=(math.log1p(v),))[0]
+                        for v in np.ravel(x).tolist()]).reshape(np.shape(x))
+        return out * (1.0 + x) ** (order - beta)
 
     def _shape_norm(self, s: float) -> float:
         # kappa_s = Gamma(A) / (Gamma(s) N), exact by Liouville's formula; for

@@ -114,7 +114,6 @@ class TestClosedTailForms:
                     * np.prod(w ** (-(al + 1.0) / al)))
         assert form(w) == pytest.approx(float(expected), rel=1e-12)
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_rho_nonpositive_rejected(self):
         # beta = sum(a) with a strong log correction is integrable but makes
         # the tail normalizer slowly varying (rho = 0)

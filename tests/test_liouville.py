@@ -1,7 +1,6 @@
 import itertools
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -58,20 +57,18 @@ class TestNormalization:
         drivers = [GenericRV(beta, log_power)] + [InvertedDirichlet(beta)] * (log_power == 0)
         for g, m in itertools.product(drivers, (beta - 0.5, beta, beta + 0.5)):
             diverges = m > beta or (m == beta and log_power >= -1)
-            with warnings.catch_warnings():  # only the verdict counts here
-                warnings.simplefilter("ignore", integrate.IntegrationWarning)
-                try:
-                    LiouvilleParams([m], g)
-                except IntegrabilityError as e:
-                    assert diverges and "integrability violated" in str(e)
-                else:
-                    assert not diverges
-                try:
-                    LiouvilleParams([0.5], g).weyl_integral(m, 1.0)
-                except ValueError as e:
-                    assert diverges and "diverges" in str(e)
-                else:
-                    assert not diverges
+            try:
+                LiouvilleParams([m], g)
+            except IntegrabilityError as e:
+                assert diverges and "integrability violated" in str(e)
+            else:
+                assert not diverges
+            try:
+                LiouvilleParams([0.5], g).weyl_integral(m, 1.0)
+            except ValueError as e:
+                assert diverges and "diverges" in str(e)
+            else:
+                assert not diverges
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -275,6 +272,7 @@ class TestInputDomain:
     # at x_i = inf, g is 0 and x_i^(a_i - 1) is inf wherever a_i > 1
     INF_CASES = {"generic_rv": ([1.0, 1.0], GenericRV(3.0, 1.0)),
                  "inverted_dirichlet": ([2.0, 1.0], InvertedDirichlet(4.0)),
+                 "shapes_above_one": ([1.5, 2.0], InvertedDirichlet(4.0)),
                  "rapid": ([2.0, 1.0], Rapid())}
 
     @pytest.mark.parametrize("a, g", INF_CASES.values(), ids=INF_CASES.keys())
@@ -282,6 +280,13 @@ class TestInputDomain:
         p = LiouvilleParams(a, g)
         assert p.joint_density([math.inf, 1.0]) == 0.0
         assert p.joint_density([0.5, math.inf]) == 0.0
+        assert p.joint_density([0.0, math.inf]) == 0.0
+        if g.rv_index is not None:  # 0 where a summed coordinate is inf
+            scalar, skew = DiagExponent([1.0, 1.0]), DiagExponent([1.0, 2.0])
+            assert p.limiting_density(scalar, [math.inf, 1.0]) == 0.0
+            assert p.limiting_density(skew, [1.0, math.inf]) == 0.0
+            if a[0] > 1:  # unsummed, x_0^(a_0 - 1) is the only factor at inf
+                assert p.limiting_density(skew, [math.inf, 1.0]) == math.inf
         got = p.joint_density([[math.inf, 1.0], [0.5, 2.0], [math.inf, math.inf]])
         np.testing.assert_array_equal(got, [0.0, p.joint_density([0.5, 2.0]), 0.0])
         for i in range(2):
@@ -578,6 +583,18 @@ class TestClosedMargins:
         p = LiouvilleParams([0.5, 1.5, 2.0], InvertedDirichlet(6.0))
         assert p.marginal_cdf(2, x) == rel12(betainc(2.0, 2.0, x / (1 + x)))
 
+    def test_heavy_tail_close_to_integrability(self):
+        # theta - A = 0.01: X_0 ~ BetaPrime(0.04, 0.01) and R ~ BetaPrime(2.54,
+        # 0.01) have medians near 1e20 and 1e30, where x/(1+x) rounds to 1;
+        # the medians and the copula density by mpmath at 40 digits
+        p = LiouvilleParams([0.04, 2.5], InvertedDirichlet(2.55))
+        x = p.marginal_quantile(0, 0.5)
+        assert x == pytest.approx(2.7515096347941903e20, rel=1e-10)
+        assert p.marginal_cdf(0, x) == rel12(0.5)
+        assert p.radial_quantile(0.5) == pytest.approx(4.6236389574877896e30, rel=1e-10)
+        assert copula_density(p, [0.5, 0.1]) == pytest.approx(3.1352580418975476e-38,
+                                                              rel=1e-10, abs=0)
+
     def test_cdf_at_the_ends(self, pid, prapid):
         for p in (pid, prapid):
             assert p.marginal_cdf(0, 0.0) == 0.0
@@ -680,9 +697,9 @@ class TestGenericRVWeyl:
     @pytest.mark.parametrize("beta", [2.5, 4.0, 7.0])
     def test_matches_inverted_dirichlet(self, beta):
         pg = LiouvilleParams([1.0], GenericRV(beta, 0.0))
-        for m in [0.3, 0.7, 1.0, 2.0, beta - 0.5]:
+        for m in [0.3, 0.7, 1.0, 2.0, beta - 0.5, beta - 0.2, beta - 0.05]:
             want = math.exp(betaln(m, beta - m)) / math.gamma(m) * (1 + self.XS) ** (m - beta)
-            np.testing.assert_allclose(pg.weyl_integral(m, self.XS), want, rtol=1e-7, atol=0)
+            np.testing.assert_allclose(pg.weyl_integral(m, self.XS), want, rtol=1e-12, atol=0)
 
     def test_log_factor_margin_positive_in_the_tail(self):
         p = LiouvilleParams([1.0, 1.0], GenericRV(3.0, 1.0))
@@ -704,7 +721,20 @@ class TestGenericRVWeyl:
         assert math.isfinite(value) and value > 0
         p = LiouvilleParams([0.4, 2.5], GenericRV(3.0, 0.0))
         assert p.marginal_density(0, x) == pytest.approx(
-            stats.betaprime(0.4, 0.1).pdf(x), rel=1e-7)
+            stats.betaprime(0.4, 0.1).pdf(x), rel=1e-12)
+
+    def test_margin_order_close_to_beta(self):
+        # margin 0 of a = (0.04, 2.5) integrates at order 2.5, 0.05 below beta
+        p = LiouvilleParams([0.04, 2.5], GenericRV(2.55, 0.0))
+        x = np.array([1e-3, 0.3, 2.0, 1e5])
+        np.testing.assert_allclose(p.marginal_density(0, x),
+                                   stats.betaprime(0.04, 0.01).pdf(x), rtol=1e-12, atol=0)
+
+    def test_radial_norm_at_order_beta(self):
+        # A = beta with log_power < -1: the integrand decays like 1/(t log^2 t);
+        # int_0^inf t (1+t)^-2 log(e+t)^-2 dt by mpmath
+        p = LiouvilleParams([2.0], GenericRV(2.0, -2.0))
+        assert p.radial_norm == pytest.approx(0.92065303464609, rel=1e-12)
 
     @pytest.mark.parametrize("m, log_power", [(3.5, 0.0), (3.0, 1.0), (3.0, -1.0)])
     def test_divergent_order_raises(self, m, log_power):

@@ -82,6 +82,16 @@ def test_cli_bad_config_exits_2_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_library_leaves_warnings_unfiltered():
+    # a warning the library raises reaches the caller: no module of the
+    # package silences one, or changes the caller's warning filters
+    pattern = re.compile(r"\b(catch_warnings|simplefilter|filterwarnings)\b")
+    hits = [f"{path.name}:{n}" for path in sorted((ROOT / "src" / "opertail").rglob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)]
+    assert hits == []
+
+
 def test_benchmark_worker_import_path():
     # perfbench/worker.py imports only opertail and opertail.cli, then reads
     # opertail.kernels.BACKEND on every pass
