@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy import special
 
 from .liouville import LiouvilleParams
 from .opscale import DiagExponent
@@ -72,6 +73,40 @@ class TailDensityForm:
         out = (self.coef * s ** self.sum_exponent
                * (w ** np.asarray(self.coord_powers)).prod(axis=-1))
         return float(out) if w.ndim == 1 else out
+
+    def integrate_out(self, j: int) -> "TailDensityForm":
+        """The form integrated over w_j in (0, inf), exactly: with c the sum
+        over S minus j, a = (s_j + 1)/p_j and b = -q - a,
+
+            int_0^inf w^{s_j} (c + w^{p_j})^q dw = B(a, b) / |p_j| * c^{q + a}.
+
+        The result's tail order and eigenvalues drop coordinate j; its rho is
+        unchanged. ArithmeticError where the integral diverges:
+        j outside S, p_j = 0, a <= 0, b <= 0, or S = {j}."""
+        if j not in self.sum_indices:
+            raise ArithmeticError(f"coordinate {j} is outside the sum set: "
+                                  "its integral over (0, inf) diverges")
+        k = self.sum_indices.index(j)
+        p, q = self.sum_powers[k], self.sum_exponent
+        if len(self.sum_indices) == 1 or p == 0:
+            raise ArithmeticError(f"integral over coordinate {j} is a pure power "
+                                  "over (0, inf) and diverges")
+        a = (self.coord_powers[j] + 1.0) / p
+        b = -q - a
+        if not (a > 0 and b > 0):
+            raise ArithmeticError(f"integral over coordinate {j} diverges: "
+                                  f"B({a:g}, {b:g}) needs both arguments positive")
+
+        def drop(t):
+            return None if t is None else t[:j] + t[j + 1:]
+
+        return TailDensityForm(
+            coef=self.coef * math.exp(special.betaln(a, b)) / abs(p),
+            sum_indices=tuple(i - (i > j) for i in self.sum_indices if i != j),
+            sum_powers=self.sum_powers[:k] + self.sum_powers[k + 1:],
+            sum_exponent=q + a,
+            coord_powers=drop(self.coord_powers),
+            kappa=drop(self.kappa), lambdas=drop(self.lambdas), rho=self.rho)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,10 @@ inclusion-exclusion to product cells (intervals (0,w), (w,inf), (0,inf)
 per coordinate); each cell is screened by exact exponent analysis of the
 power-sum-product tail form near the axes and at infinity *before* any
 cubature runs, so non-integrable integrands yield a "divergent" verdict
-instead of a large meaningless number.
+instead of a large meaningless number. A finite cell's (0,inf) coordinates
+integrate out exactly (``TailDensityForm.integrate_out``, a Beta function),
+so nquad sees only ranges (0,w) and (w,inf) with w > 0, and the strips
+keep their mass at any scale of w.
 
 The exponent function a_C(w) is implemented as the intensity measure of
 the union of lower strips {x : x_i < w_i for some i} in tail-density
@@ -164,21 +167,22 @@ def _cell_divergent(form: TailDensityForm, cell) -> bool:
 
 
 def _integrate_cell(form: TailDensityForm, cell):
+    """Every coordinate over (0, inf), "full" or "high" at 0, integrates out
+    exactly (a Beta function), highest index first so that the lower indices
+    stay valid; nquad gets only the "low" and "high" coordinates that remain."""
     from scipy import integrate  # here, so that importing the package skips it
 
-    ranges = []
-    for kind, w in cell:
-        if kind == "low":
-            ranges.append((0.0, w))
-        elif kind == "high":
-            ranges.append((w, np.inf))
-        else:
-            ranges.append((0.0, np.inf))
+    whole = [kind == "full" or (kind == "high" and w == 0) for kind, w in cell]
+    for j in reversed(range(len(cell))):
+        if whole[j]:
+            form = form.integrate_out(j)
+    ranges = [(0.0, w) if kind == "low" else (w, np.inf)
+              for (kind, w), out in zip(cell, whole) if not out]
 
     def integrand(*coords):
         return form(np.asarray(coords, dtype=float))
 
-    opts = [{"epsabs": 1e-10, "epsrel": 1e-8, "limit": 200}] * form.dim
+    opts = [{"epsabs": 1e-10, "epsrel": 1e-8, "limit": 200}] * len(ranges)
     val, err = integrate.nquad(integrand, ranges, opts=opts)
     return val, err
 
@@ -217,8 +221,9 @@ def exponent_function(form: TailDensityForm, w) -> float:
     not 1, as that form is relative to r_i(u) = c_i u (see there).
 
     ArithmeticError unless the cubature's error estimate is at most 1e-3 of
-    |a_C(w)|: far from the unit scale (w = (0, 1e20), or w near 0) the cells
-    lose the mass and the value is wrong by orders of magnitude."""
+    |a_C(w)|. The unbounded strip coordinates are exact, so w = (0, 1e20) is
+    right; only the box cell over (0, w) is a cubature, and near w = 0 (as at
+    (1e-8, 1e-8)) it cannot resolve the point and is refused."""
     w = np.asarray(w, dtype=float)
     if np.all(w == 0):
         raise ValueError("some w_i must be positive")

@@ -244,10 +244,17 @@ class LiouvilleParams:
                 return lambda x: np.where(x >= 1.0, above(b, s, 1.0 / (1.0 + x)),
                                           below(s, b, x / (1.0 + x)))
 
-            # 1/X ~ BetaPrime(b, s), so the isf of X is 1/ppf of that law
+            def isf(p):  # 1/X ~ BetaPrime(b, s), so the isf of X is 1/ppf of that law
+                r = ratio(b, s, p)
+                # betaincinv clamps an underflow to DBL_MIN, and 1/DBL_MIN is no quantile
+                if np.any(r <= np.finfo(float).tiny):
+                    raise ArithmeticError(
+                        f"quantile at tail level {np.min(p):.3g} overflows a double")
+                return 1.0 / r
+
             return (side(special.betainc, special.betaincc),
                     side(special.betaincc, special.betainc),
-                    lambda q: ratio(s, b, q), lambda p: 1.0 / ratio(b, s, p))
+                    lambda q: ratio(s, b, q), isf)
         if isinstance(self.g, Rapid):
             return tuple(partial(f, s) for f in (special.gammainc, special.gammaincc,
                                                  special.gammaincinv, special.gammainccinv))

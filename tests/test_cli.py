@@ -46,12 +46,13 @@ class TestEval:
     def test_exponent_function(self, tmp_path):
         cfg = {"distribution": TESTBED,
                "task": {"evaluator": "exponent_function",
-                        "points": [[1.0, 1.0]]}}
+                        "points": [[1.0, 1.0], [0.0, 1e20]]}}
         rc = main(["eval", "--config", write_config(tmp_path, cfg),
                    "--out", str(tmp_path)])
         assert rc == 0
         rows = read_rows(tmp_path / "eval.csv")
         assert float(rows[0]["value"]) == pytest.approx(1.5, abs=1e-6)
+        assert float(rows[1]["value"]) == pytest.approx(1e20, rel=1e-12)
 
     def test_grid_expansion(self, tmp_path):
         cfg = {"distribution": TESTBED,
@@ -397,14 +398,18 @@ class TestExitContract:
                              "params": {"n": 100000, "t": 1e200}}}, [], 3),
         ("verify", {"task": {"suite": "orthant-mc",
                              "params": {"n": 100000, "t": 1e-300}}}, [], 3),
-        # a_C(0, 1e20) is 1e20; the cubature gives 3.3e-11, error estimate 6.2e-11
+        # a_C(0, 1e20) is 1e20, exact; a_C(1e-8, 1e-8) is 1.5e-8, and the box
+        # cell's error estimate is 3.4e-9
         ("eval", {"distribution": TESTBED,
                   "task": {"evaluator": "exponent_function", "points": [[0.0, 1e20]]}},
+         [], 0),
+        ("eval", {"distribution": TESTBED,
+                  "task": {"evaluator": "exponent_function", "points": [[1e-8, 1e-8]]}},
          [], 3),
     ], ids=["config-5", "config-null", "task-5", "g-list", "orthant-n-float",
             "hill-n-float", "hill-k-x", "roundtrip-seed-1.5", "seed-x", "seed-neg",
             "seed-flag-neg", "seed-1.5", "limit-3-eigenvalues", "tail-3-eigenvalues",
-            "orthant-t-1e200", "orthant-t-1e-300", "exponent-0-1e20"])
+            "orthant-t-1e200", "orthant-t-1e-300", "exponent-0-1e20", "exponent-1e-8"])
     def test_exit_code(self, tmp_path, capsys, command, cfg, extra, code):
         out = tmp_path / "out"
         rc = main([command, "--config", write_config(tmp_path, cfg),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from opertail import (DiagExponent, GenericRV, InvertedDirichlet, LiouvilleParams,
-                      MarginalFrame, compatibility_defect, copula_density,
+                      MarginalFrame, TailDensityForm, compatibility_defect, copula_density,
                       copula_tail_to_density, density_to_copula_tail,
                       empirical_tail_density, exponent_function,
                       group_invariance_defect,
@@ -330,6 +330,63 @@ class TestEmpiricalTailDensity:
         with pytest.raises(ValueError, match="left"):
             empirical_tail_density(c, r, lambda u: 1.0, [1.0, 1.0],
                                    [2000.0, 1.0], [0.5, 1e-3])
+
+
+class TestIntegrateOut:
+    """Closure under marginalisation: X_{-j} of an inverted Dirichlet vector
+    is inverted Dirichlet with a_{-j} and theta - a_j, with the same alpha,
+    so w_j integrates out of the d = 3 form to the d = 2 form."""
+
+    A, THETA = (0.5, 1.5, 2.0), 6.0
+
+    @staticmethod
+    def _forms(a, theta):
+        p = LiouvilleParams(list(a), InvertedDirichlet(theta))
+        E = DiagExponent([1.0] * len(a))
+        return liouville_copula_tail_form(p, E), liouville_limit_form(p, E)
+
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_closure(self, j):
+        rest = self.A[:j] + self.A[j + 1:]
+        for got, want in zip((f.integrate_out(j) for f in self._forms(self.A, self.THETA)),
+                             self._forms(rest, self.THETA - self.A[j])):
+            assert got.coef == pytest.approx(want.coef, rel=1e-14)
+            assert got.sum_indices == want.sum_indices
+            np.testing.assert_allclose(got.sum_powers, want.sum_powers, rtol=1e-14)
+            assert got.sum_exponent == pytest.approx(want.sum_exponent, rel=1e-14)
+            np.testing.assert_allclose(got.coord_powers, want.coord_powers, rtol=1e-14)
+            assert (got.kappa, got.lambdas, got.rho) == (want.kappa, want.lambdas,
+                                                         want.rho)
+
+    @pytest.mark.parametrize("frame", ["copula", "limit"])  # p_j < 0 and p_j > 0
+    @pytest.mark.parametrize("j", [0, 2])
+    def test_against_quad(self, frame, j):
+        from scipy.integrate import quad
+
+        form = self._forms(self.A, self.THETA)[frame == "limit"]
+        assert (form.sum_powers[j] < 0) == (frame == "copula")
+        rest = np.array([0.7, 1.9])
+        point = lambda v: np.insert(rest, j, v)
+        want = sum(quad(lambda v: form(point(v)), lo, hi, epsabs=0, epsrel=1e-13,
+                        limit=200)[0] for lo, hi in ((0.0, 1.0), (1.0, math.inf)))
+        assert form.integrate_out(j)(rest) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("form,j", [
+        # E = diag(1, 2): the sum set is {1}, so w_0 is a pure power and
+        # w_1 the whole sum
+        (liouville_limit_form(LiouvilleParams([1.0, 1.0], InvertedDirichlet(3.0)),
+                              DiagExponent([1.0, 2.0])), 0),
+        (liouville_limit_form(LiouvilleParams([1.0, 1.0], InvertedDirichlet(3.0)),
+                              DiagExponent([1.0, 2.0])), 1),
+        # a = (s + 1)/p = 0 and a < 0: divergent at w_j -> 0
+        (TailDensityForm(1.0, (0, 1), (1.0, 1.0), -3.0, (-1.0, 0.0)), 0),
+        (TailDensityForm(1.0, (0, 1), (-1.0, 1.0), -3.0, (0.0, 0.0)), 0),
+        # b = -q - a = 0: divergent at w_j -> inf
+        (TailDensityForm(1.0, (0, 1), (1.0, 1.0), -2.0, (1.0, 0.0)), 0),
+    ], ids=["outside-S", "S-is-j", "a-zero", "a-negative", "b-zero"])
+    def test_divergent_raises(self, form, j):
+        with pytest.raises(ArithmeticError):
+            form.integrate_out(j)
 
 
 class TestFractionalShapeScaling:

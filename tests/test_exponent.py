@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
 
-from opertail import kernels, liouville
+from opertail import exponent, kernels, liouville
 from opertail import (DiagExponent, DivergentIntegralError, InvertedDirichlet,
                       LiouvilleParams, Region, exponent_function,
                       exponent_mixed_derivative_defect, intensity_measure,
@@ -133,17 +133,97 @@ class TestExponentFunction:
         with pytest.raises(ValueError):
             exponent_function(lam_c, [0.0, 0.0])
 
+    @pytest.mark.parametrize("w,exact", [
+        ((0.0, 1e20), 1e20), ((0.0, 1e12), 1e12), ((1e-3, 1e-3), 1.5e-3),
+    ], ids=["0-1e20", "0-1e12", "1e-3"])
+    def test_far_from_unit_scale(self, lam_c, w, exact):
+        # the unbounded strip coordinates integrate out exactly, so the cells
+        # keep the mass however far w is from the unit scale
+        assert exponent_function(lam_c, w) == pytest.approx(exact, rel=1e-12)
+
     def test_untrustworthy_cubature_refused(self, lam_c):
-        # the exact a_C(0, w2) is w2 = 1e20; the cells return 3.3e-11 with an
-        # error estimate of 6.2e-11
+        # a_C(1e-8, 1e-8) is 1.5e-8; the box cell's error estimate is 3.4e-9
         with pytest.raises(ArithmeticError, match="untrustworthy"):
-            exponent_function(lam_c, [0.0, 1e20])
+            exponent_function(lam_c, [1e-8, 1e-8])
 
     def test_warned_cubature_refused(self, lam_c):
-        # a_C(0, 1e12) is 1e12; the cells return 0.0069, and quad warns
+        # the box cell at (1e-9, 1e-6) warns and cannot resolve the point
         with pytest.warns(IntegrationWarning), \
                 pytest.raises(ArithmeticError, match="untrustworthy"):
-            exponent_function(lam_c, [0.0, 1e12])
+            exponent_function(lam_c, [1e-9, 1e-6])
+
+    @pytest.mark.parametrize("theta", [3.0, 4.0, 5.5])
+    def test_negative_logistic_closed_form(self, E2, theta):
+        # a = (1, 1): multivariate Lomax, every c_i = 1, and a_C is the
+        # negative logistic w1 + w2 - (w1^{-1/alpha} + w2^{-1/alpha})^{-alpha}
+        form = liouville_copula_tail_form(
+            LiouvilleParams([1.0, 1.0], InvertedDirichlet(theta)), E2)
+        w, alpha = np.array([0.5, 2.0]), theta - 2.0
+        exact = w.sum() - ((w ** (-1.0 / alpha)).sum()) ** -alpha
+        assert exponent_function(form, w) == pytest.approx(exact, rel=1e-10)
+
+    def test_d3_identity_case(self):
+        # a = (1, 1, 1), theta = 4: inclusion-exclusion of the negative
+        # logistic orthant measures gives a_C(1, 1, 1) = 3 - 3/2 + 1/3
+        form = liouville_copula_tail_form(
+            LiouvilleParams([1.0, 1.0, 1.0], InvertedDirichlet(4.0)),
+            DiagExponent([1.0, 1.0, 1.0]))
+        assert exponent_function(form, [1.0, 1.0, 1.0]) == pytest.approx(
+            11.0 / 6.0, rel=1e-12)
+
+
+# name: ((a, theta), eigenvalues, copula frame, some region with cells is finite);
+# at E = diag(1, 2) the sum keeps only the argmax coordinate, and every cell
+# of every region diverges
+_SWEEP_FORMS = {
+    "copula-a11-theta3": (([1.0, 1.0], 3.0), (1.0, 1.0), True, True),
+    "copula-a0.5,1.5": (([0.5, 1.5], 4.0), (1.0, 1.0), True, True),
+    "copula-a0.3,0.4": (([0.3, 0.4], 2.0), (1.0, 1.0), True, True),
+    "copula-d3": (([0.5, 1.5, 2.0], 6.0), (1.0, 1.0, 1.0), True, True),
+    "limit-E=I": (([0.5, 1.5], 4.0), (1.0, 1.0), False, True),
+    "limit-E=diag(1,2)": (([1.0, 1.0], 3.0), (1.0, 2.0), False, False),
+}
+
+
+class TestCellPath:
+    """One path: every unbounded coordinate of a finite cell integrates out
+    exactly, and nquad never sees (0, inf)."""
+
+    @pytest.mark.parametrize("name", list(_SWEEP_FORMS))
+    def test_sweep(self, name, monkeypatch):
+        from scipy import integrate
+
+        (a, theta), lambdas, copula, integrates = _SWEEP_FORMS[name]
+        p, E = LiouvilleParams(a, InvertedDirichlet(theta)), DiagExponent(lambdas)
+        form = (liouville_copula_tail_form if copula else liouville_limit_form)(p, E)
+        d = form.dim
+        calls = []
+
+        def spy(func, ranges, opts):
+            # record the ranges, and check the reduced integrand at a point inside
+            calls.append(ranges)
+            assert len(opts) == len(ranges)
+            mid = [lo + 1.0 if hi == math.inf else 0.5 * (lo + hi) for lo, hi in ranges]
+            assert 0.0 < func(*mid) < math.inf
+            return 0.0, 0.0
+
+        monkeypatch.setattr(integrate, "nquad", spy)
+        for w in ([1.0] * d, [0.5] + [2.0] * (d - 1), [0.0] + [1.5] * (d - 1)):
+            for kind in kernels.KINDS:
+                region = Region(kind, w)
+                cells = exponent._region_cells(region)
+                for _, cell in cells:
+                    if exponent._cell_divergent(form, cell):
+                        continue
+                    for j, (k, v) in enumerate(cell):
+                        if k == "full" or (k == "high" and v == 0):
+                            assert form.integrate_out(j).dim == d - 1
+                n_calls = len(calls)
+                if intensity_measure(form, region).verdict == "finite":
+                    assert len(calls) - n_calls == len(cells)
+        assert bool(calls) == integrates
+        assert all(r != (0.0, math.inf) for ranges in calls for r in ranges)
+        assert all(0 < len(ranges) <= d for ranges in calls)
 
 
 class TestMixedDerivative:

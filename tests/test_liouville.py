@@ -595,6 +595,16 @@ class TestClosedMargins:
         assert copula_density(p, [0.5, 0.1]) == pytest.approx(3.1352580418975476e-38,
                                                               rel=1e-10, abs=0)
 
+    def test_quantile_beyond_a_double_raises(self):
+        # the 1 - 1e-6 quantile of BetaPrime(0.04, 0.01) is about 1e590;
+        # betaincinv(0.01, 0.04, 1e-6) underflows to DBL_MIN, not to a quantile.
+        # The 1 - 1e-3 quantile still fits (mpmath at 40 digits)
+        p = LiouvilleParams([0.04, 2.5], InvertedDirichlet(2.55))
+        with pytest.raises(ArithmeticError, match="overflows a double"):
+            p.marginal_quantile(0, 1.0 - 1e-6)
+        assert p.marginal_quantile(0, 1.0 - 1e-3) == pytest.approx(
+            2.1705583812280827e290, rel=1e-10)
+
     def test_cdf_at_the_ends(self, pid, prapid):
         for p in (pid, prapid):
             assert p.marginal_cdf(0, 0.0) == 0.0
